@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cbackend
 from .equations import build_equations
 from .errors import ReportError
 from .expr import COMPONENT_NAMES
@@ -96,6 +96,7 @@ class BenchReport:
         default_factory=dict
     )
     counters: dict[str, dict] = field(default_factory=dict)
+    backend: dict = field(default_factory=dict)
 
 
 def _variant_rank(variant: str) -> int:
@@ -185,6 +186,7 @@ def run_matrix(
     beyond timestamps.
     """
     report = BenchReport(config=_config_dict(config, variants))
+    plans = []
     for variant in sorted(variants, key=_variant_rank):
         run_config = _with_policy(config, variant)
         for repeat in range(1, config.repeats + 1):
@@ -211,6 +213,8 @@ def run_matrix(
         report.counters[variant] = asdict(
             plan_counters(result.plan, config.n)
         )
+        plans.append((result.plan, config.n))
+    report.backend = cbackend.KERNELS.describe(plans)
     report.rows.sort(key=lambda r: (_variant_rank(r.variant), r.repeat))
     report.aggregates = aggregate(report.rows)
     return report
@@ -415,6 +419,7 @@ def emit_reports(report: BenchReport, out_dir, json_path=None) -> list[str]:
                 "numpy": np.__version__,
             },
             "counters": report.counters,
+            "backend": report.backend,
             "runs": [asdict(row) for row in report.rows],
             "aggregates": [asdict(row) for row in report.aggregates],
         }

@@ -1,0 +1,469 @@
+"""Compiled C backend: one C function per plan phase, built with gcc.
+
+The generator walks each statement's expression tree the way the numpy
+slab evaluator does and writes it as one C expression per statement, so
+the compiled kernel performs the same IEEE operations in the same order:
+
+* n-ary sums and products fold left to right with explicit parentheses,
+  exactly as ``_SlabEval._fold`` does;
+* ``IntPow`` is repeated multiplication, ``(b*b)*b``;
+* ``Neg`` is unary minus, ``Div`` is ``/``;
+* constants are exact hex literals, rationals converted in Python first.
+
+Compiled without ``-ffast-math`` and with ``-ffp-contract=off`` (gcc
+contracts ``a*b + c`` into a fused multiply-add by default, which rounds
+once instead of twice), the residuals are bit-identical to numpy's.
+
+Every function takes the array of base pointers of the padded
+Fortran-order fields plus a range ``[k0, k1)`` of interior planes along
+axis 2, so the caller can split any phase across threads. The grid size
+is a compile-time constant: a plan's stencil weights already depend on
+the spacing, so a kernel is tied to one grid anyway.
+
+Built libraries are cached on disk under a per-user directory in the
+system temp dir, keyed by the sha256 of the generated source plus the
+compiler's version line and the flags, and loaded kernels are memoised in
+process by ``(plan, n)``. When the compiler is missing or fails, lookup
+returns a kernel without functions and the reason why; the executor then
+runs the numpy reference evaluator.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import re
+import subprocess
+import tempfile
+import threading
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from . import expr as ex
+from .expr import COMPONENT_NAMES, ZERO_OFFSET
+from .grid import HALO
+from .plan import KernelPlan
+
+COMPILER = "gcc"
+
+#: -ffp-contract=off keeps a*b+c as two roundings, as numpy computes it.
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+# With constant trip counts gcc unrolls small grids' loops completely,
+# which tripled bl's compile time at n=8 without making it faster.
+_NO_UNROLL = "#pragma GCC unroll 1"
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+class UnsupportedPlan(Exception):
+    """The plan needs something the generator cannot express."""
+
+
+class CompilerUnavailable(Exception):
+    """The compiler is missing or failed; the message says why."""
+
+
+# ---------------------------------------------------------------- codegen
+
+
+def _literal(value: float) -> str:
+    if not np.isfinite(value):
+        raise UnsupportedPlan(f"non-finite constant {value!r}")
+    return f"({float(value).hex()})"
+
+
+def _ident(name: str) -> str:
+    if not _IDENTIFIER.match(name):
+        raise UnsupportedPlan(f"name {name!r} is not a C identifier")
+    return name
+
+
+class _Emitter:
+    """C expressions for one phase function over padded stride ``p``."""
+
+    def __init__(self, p: int, pointers: dict[str, int], targets: set[str]):
+        self.p = p
+        self.pointers = pointers  # array name -> slot in the pointer table
+        self.targets = targets  # arrays this phase writes
+        self.read: set[str] = set()
+        self.in_register: dict[str, str] = {}  # targets written so far
+        self.powers: set[int] = set()
+
+    def array(self, name: str, offset) -> str:
+        # Every array gets one restrict pointer, so a phase may read what
+        # it writes only at the point itself, after writing it.
+        if name in self.targets:
+            if name not in self.in_register or offset != ZERO_OFFSET:
+                raise UnsupportedPlan(
+                    f"{name!r} is read at offset {offset} in the phase that"
+                    " writes it, before or away from its own write"
+                )
+            return self.in_register[name]
+        if name not in self.pointers:
+            raise UnsupportedPlan(f"array {name!r} has no storage")
+        self.read.add(name)
+        o0, o1, o2 = offset
+        shift = o0 + self.p * (o1 + self.p * o2)
+        if shift == 0:
+            return f"a_{_ident(name)}[c]"
+        return f"a_{_ident(name)}[c {'+' if shift > 0 else '-'} {abs(shift)}]"
+
+    def __call__(self, node: ex.Expr) -> str:
+        if isinstance(node, ex.Constant):
+            return _literal(node.value)
+        if isinstance(node, ex.RationalConstant):
+            return _literal(node.numerator / node.denominator)
+        if isinstance(node, ex.SolutionRef):
+            return self.array(COMPONENT_NAMES[node.component], node.offset)
+        if isinstance(node, ex.WorkRef):
+            return self.array(node.array, node.offset)
+        if isinstance(node, ex.LocalRef):
+            return f"l_{_ident(node.name)}"
+        if isinstance(node, ex.Neg):
+            return f"(-{self(node.child)})"
+        if isinstance(node, (ex.Add, ex.Mul)):
+            op = " + " if isinstance(node, ex.Add) else " * "
+            acc = self(node.children[0])
+            for child in node.children[1:]:
+                acc = f"({acc}{op}{self(child)})"
+            return acc
+        if isinstance(node, ex.Div):
+            return f"({self(node.numerator)} / {self(node.denominator)})"
+        if isinstance(node, ex.IntPow):
+            if ex.is_constant(node.base):
+                return _literal(ex.constant_value(node.base) ** node.exponent)
+            self.powers.add(node.exponent)
+            return f"fd_pow{node.exponent}({self(node.base)})"
+        raise UnsupportedPlan(f"cannot generate code for {node!r}")
+
+
+def _power_function(exponent: int) -> str:
+    steps = "".join("    r = r * b;\n" for _ in range(exponent - 2))
+    return (
+        f"static inline double fd_pow{exponent}(double b)\n"
+        f"{{\n    double r = b * b;\n{steps}    return r;\n}}\n"
+    )
+
+
+def _phase_function(name, statements, n, pointers, powers) -> str:
+    """One C function running `statements` at every point of planes
+    [k0, k1); locals and arrays written here live in registers."""
+    p = n + 2 * HALO
+    emit = _Emitter(p, pointers, {s.array for s in statements} - {None})
+    body = []
+    written = []
+    for stmt in statements:
+        value = emit(stmt.expr)
+        target = stmt.array
+        if target is None:
+            body.append(f"const double l_{_ident(stmt.target)} = {value};")
+            continue
+        register = f"v_{_ident(target)}"
+        body.append(f"const double {register} = {value};")
+        body.append(f"a_{target}[c] = {register};")
+        emit.in_register[target] = register
+        written.append(target)
+    powers |= emit.powers
+    decls = [
+        f"    const double *restrict a_{array} = A[{pointers[array]}];"
+        for array in sorted(emit.read, key=pointers.get)
+    ] + [f"    double *restrict a_{t} = A[{pointers[t]}];" for t in written]
+    origin = HALO * (1 + p + p * p)  # padded index of interior point (0, 0, 0)
+    return "\n".join(
+        [
+            f"void {name}(double *const *A, long k0, long k1)",
+            "{",
+            *decls,
+            "    for (long k = k0; k < k1; ++k) {",
+            f"        {_NO_UNROLL}",
+            f"        for (long j = 0; j < {n}; ++j) {{",
+            f"            const long row = {origin} + {p}L * j + {p * p}L * k;",
+            f"            {_NO_UNROLL}",
+            f"            for (long i = 0; i < {n}; ++i) {{",
+            "                const long c = row + i;",
+            *(f"                {line}" for line in body),
+            "            }",
+            "        }",
+            "    }",
+            "}",
+            "",
+        ]
+    )
+
+
+def phase_names(plan: KernelPlan) -> list[str]:
+    """C function names in launch order: primitive, each work statement,
+    point."""
+    return ["fd_primitive"] + [f"fd_work_{i}" for i in range(len(plan.work_phase))] + [
+        "fd_point"
+    ]
+
+
+def pointer_table(plan: KernelPlan) -> tuple[str, ...]:
+    """Field names in the order of the pointer array every function takes."""
+    names = list(COMPONENT_NAMES)
+    for phase in (plan.primitive_phase, plan.work_phase, plan.point_phase):
+        names += [s.array for s in phase if s.array is not None]
+    return tuple(dict.fromkeys(names))
+
+
+def generate_source(plan: KernelPlan, n: int) -> str:
+    """The complete C translation unit for the plan on an n^3 grid."""
+    table = pointer_table(plan)
+    pointers = {name: slot for slot, name in enumerate(table)}
+    powers: set[int] = set()
+    phases = [plan.primitive_phase, *((s,) for s in plan.work_phase), plan.point_phase]
+    functions = [
+        _phase_function(name, stmts, n, pointers, powers)
+        for name, stmts in zip(phase_names(plan), phases)
+    ]
+    header = (
+        f"/* fdlab kernel: policy {plan.policy.value}, n={n}, h={plan.h!r}.\n"
+        f"   Pointer table: {' '.join(table)} */\n"
+    )
+    return "\n".join(
+        [header, *(_power_function(e) for e in sorted(powers)), *functions]
+    )
+
+
+# ---------------------------------------------------------------- building
+
+
+@functools.cache
+def compiler_version(compiler: str) -> str:
+    """First line of `compiler --version`; raises CompilerUnavailable."""
+    try:
+        done = subprocess.run(
+            [compiler, "--version"], capture_output=True, text=True, timeout=60
+        )
+    except (OSError, subprocess.SubprocessError) as err:
+        raise CompilerUnavailable(f"{compiler} --version failed: {err}") from None
+    if done.returncode != 0 or not done.stdout.strip():
+        raise CompilerUnavailable(
+            f"{compiler} --version exited {done.returncode}: {done.stderr.strip()}"
+        )
+    return done.stdout.splitlines()[0].strip()
+
+
+def _compile(compiler: str, source_path: Path, library_path: Path) -> None:
+    try:
+        done = subprocess.run(
+            [compiler, *FLAGS, "-o", str(library_path), str(source_path)],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+    except (OSError, subprocess.SubprocessError) as err:
+        raise CompilerUnavailable(f"{compiler} failed to run: {err}") from None
+    if done.returncode != 0:
+        lines = (done.stderr or done.stdout).strip().splitlines()
+        raise CompilerUnavailable(
+            f"{compiler} exited {done.returncode}: " + " | ".join(lines[:5])
+        )
+
+
+def _sha256_file(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def default_cache_dir() -> Path:
+    return Path(tempfile.gettempdir()) / f"fdlab-kernels-{os.getuid()}"
+
+
+def _offset_reads(expr: ex.Expr) -> tuple[str, ...]:
+    """Names of arrays the expression reads at any nonzero offset."""
+    return tuple(
+        sorted(
+            {
+                name
+                for kind, name, offset in ex.references(expr)
+                if kind == "arr" and offset != ZERO_OFFSET
+            }
+        )
+    )
+
+
+@dataclass
+class Kernel:
+    """What execute_plan needs per plan: its halo taps and its phase
+    functions, or the reason there are none.
+
+    ``work_taps[i]`` are the arrays work statement i reads at a nonzero
+    offset, ``point_taps`` those the point phase reads so; scanning the
+    trees once here keeps the walk out of every evaluation. ``functions``
+    follow ``phase_names`` order; None means the numpy reference
+    evaluator runs this plan, and ``reason`` says why.
+    """
+
+    policy: str
+    n: int
+    work_taps: tuple[tuple[str, ...], ...]
+    point_taps: tuple[str, ...]
+    table: tuple[str, ...] = ()
+    functions: tuple | None = None
+    library: ctypes.CDLL | None = None
+    sha256: str | None = None
+    reason: str | None = None
+
+    @property
+    def backend(self) -> str:
+        return "numpy" if self.functions is None else "c"
+
+    def pointers(self, arrays: dict[str, np.ndarray]):
+        """The pointer table for these padded arrays, after checking that
+        each one has the layout the compiled code indexes."""
+        shape = (self.n + 2 * HALO,) * 3
+        table = (ctypes.c_void_p * len(self.table))()
+        for slot, name in enumerate(self.table):
+            array = arrays[name]
+            if array.dtype != np.float64 or array.shape != shape or not (
+                array.flags.f_contiguous and array.flags.writeable
+            ):
+                raise ValueError(
+                    f"field {name!r} is not a writable Fortran-order float64"
+                    f" array of shape {shape}"
+                )
+            table[slot] = array.ctypes.data
+        return table
+
+
+class KernelCache:
+    """Loaded kernels by (plan, n), backed by a directory of libraries.
+
+    The first lookup of a plan hashes it (under a millisecond or so); the
+    identity check in front of the dictionary makes repeated lookups of
+    the same plan object free.
+    """
+
+    def __init__(self, directory: Path | None = None, compiler: str = COMPILER):
+        self._directory = Path(directory) if directory else None
+        self.compiler = compiler
+        self._kernels: dict[tuple[KernelPlan, int], Kernel] = {}
+        self._last: tuple[KernelPlan, int, Kernel] | None = None
+        self._lock = threading.Lock()
+
+    @property
+    def directory(self) -> Path:
+        # Resolved on first use: gettempdir() probes the disk.
+        if self._directory is None:
+            self._directory = default_cache_dir()
+        return self._directory
+
+    def lookup(self, plan: KernelPlan, n: int) -> Kernel:
+        last = self._last
+        if last is not None and last[0] is plan and last[1] == n:
+            return last[2]
+        with self._lock:
+            kernel = self._kernels.get((plan, n))
+            if kernel is None:
+                kernel = self._load(plan, n)
+                self._kernels[(plan, n)] = kernel
+            self._last = (plan, n, kernel)
+        return kernel
+
+    def _load(self, plan: KernelPlan, n: int) -> Kernel:
+        point_taps = set()
+        for stmt in plan.point_phase:
+            point_taps.update(_offset_reads(stmt.expr))
+        kernel = Kernel(
+            plan.policy.value,
+            n,
+            work_taps=tuple(_offset_reads(s.expr) for s in plan.work_phase),
+            point_taps=tuple(sorted(point_taps)),
+        )
+        try:
+            source = generate_source(plan, n)
+        except UnsupportedPlan as err:
+            kernel.reason = f"code generation: {err}"
+            return kernel
+        try:
+            version = compiler_version(self.compiler)
+            library_path = self._build(source, version)
+            library = ctypes.CDLL(str(library_path))
+        except (CompilerUnavailable, OSError) as err:
+            kernel.reason = str(err)
+            return kernel
+        functions = []
+        for name in phase_names(plan):
+            function = getattr(library, name)
+            function.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
+            function.restype = None
+            functions.append(function)
+        kernel.table = pointer_table(plan)
+        kernel.functions = tuple(functions)
+        kernel.library = library
+        kernel.sha256 = _sha256_file(library_path)
+        return kernel
+
+    def _build(self, source: str, version: str) -> Path:
+        """Path of the cached library for `source`, compiling it if absent.
+
+        The key covers the source, the compiler's version line and the
+        flags. A build goes to a temporary name and is renamed into place,
+        so concurrent builders never load a half-written library.
+        """
+        key = hashlib.sha256(
+            "\0".join([source, version, " ".join(FLAGS)]).encode()
+        ).hexdigest()
+        self.directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if self.directory.stat().st_uid != os.getuid():
+            # Loading a library someone else could write would run their code.
+            raise CompilerUnavailable(f"cache {self.directory} belongs to another user")
+        library_path = self.directory / f"{key}.so"
+        if library_path.exists():
+            return library_path
+        fd, temp = tempfile.mkstemp(prefix=key[:16], suffix=".c", dir=self.directory)
+        source_path = Path(temp)
+        temp_library = source_path.with_suffix(".so")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(source)
+            _compile(self.compiler, source_path, temp_library)
+            os.replace(source_path, library_path.with_suffix(".c"))
+            os.replace(temp_library, library_path)
+        finally:
+            source_path.unlink(missing_ok=True)
+            temp_library.unlink(missing_ok=True)
+        return library_path
+
+    def describe(self, plans) -> dict:
+        """Provenance of the kernels that ran the given (plan, n) pairs;
+        pairs never looked up are left out."""
+        kernels = {}
+        for plan, n in plans:
+            with self._lock:
+                kernel = self._kernels.get((plan, n))
+            if kernel is None:
+                continue
+            entry = {"n": n, "backend": kernel.backend}
+            if kernel.sha256:
+                entry["sha256"] = kernel.sha256
+            if kernel.reason:
+                entry["reason"] = kernel.reason
+            kernels[kernel.policy] = entry
+        try:
+            version = compiler_version(self.compiler)
+        except CompilerUnavailable:
+            version = None
+        reasons = [k["reason"] for k in kernels.values() if "reason" in k]
+        return {
+            "ran": "+".join(sorted({k["backend"] for k in kernels.values()})) or "none",
+            "compiler": version,
+            "flags": list(FLAGS),
+            "cache_dir": str(self.directory),
+            "kernels": kernels,
+            "fallback_reason": reasons[0] if reasons else None,
+        }
+
+
+#: The process-wide cache execute_plan looks kernels up in.
+KERNELS = KernelCache()

@@ -1,24 +1,31 @@
-"""Vectorized application of a kernel plan to grid fields.
+"""Application of a kernel plan to grid fields.
 
-Each statement's expression tree is evaluated node by node over a slab of
-interior points, with field references resolved to shifted views into the
-padded arrays. No subexpression caching happens here on purpose: the tree
-shape IS the variant's compute recipe, and collapsing repeated subtrees
-would erase exactly the recomputation the storage policies trade against
-memory traffic.
+``execute_plan`` owns the phase order, the halo exchanges and the state
+checks, and runs the phases on one of two backends: the compiled C
+kernel of ``cbackend``, or the numpy slab evaluator below, which is the
+reference the compiled code must match bit for bit.
 
-Slabs partition the interior along axis 2. Every elementwise operation is
-independent per point, so results are bit-identical for any slab width and
-any worker count.
+The numpy evaluator walks each statement's expression tree node by node
+over a slab of interior points, with field references resolved to
+shifted views into the padded arrays. No subexpression caching happens
+here on purpose: the tree shape IS the variant's compute recipe, and
+collapsing repeated subtrees would erase exactly the recomputation the
+storage policies trade against memory traffic.
+
+Both backends partition the interior along axis 2. Every elementwise
+operation is independent per point, so results are bit-identical for
+any slab width and any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import cbackend
 from . import expr as ex
 from .equations import PRIMITIVE_ARRAYS
 from .errors import GridError, NumericalBlowupError, StateError
@@ -108,15 +115,6 @@ class _SlabEval:
         return acc
 
 
-def _offset_reads(expr: ex.Expr) -> set[str]:
-    """Names of arrays the expression reads at any nonzero offset."""
-    return {
-        name
-        for kind, name, offset in ex.references(expr)
-        if kind == "arr" and offset != ZERO_OFFSET
-    }
-
-
 def _first_bad_point(mask: np.ndarray) -> tuple[int, int, int]:
     index = np.argwhere(mask)[0]
     return tuple(int(v) for v in index)
@@ -156,6 +154,41 @@ def _check_residuals(store: FieldStore, step) -> None:
             )
 
 
+def _worker_spans(n: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous, near-equal k-ranges, one per worker."""
+    parts = max(1, min(workers, n))
+    bounds = [n * w // parts for w in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _numpy_phases(plan: KernelPlan, arrays, n: int) -> list:
+    """The reference backend: one slab callable per phase, launched in
+    the same order as the compiled functions."""
+
+    def phase(statements):
+        def run(z0: int, z1: int) -> None:
+            evaluator = _SlabEval(arrays, {}, n, z0, z1)
+            # Overflow and NaN are legitimate runtime outcomes here; the
+            # finiteness check turns them into errors with point context,
+            # so numpy's own warnings are noise (errstate is per-thread).
+            with np.errstate(over="ignore", invalid="ignore"):
+                for stmt in statements:
+                    value = evaluator(stmt.expr)
+                    if stmt.array is None:
+                        evaluator.locals[stmt.target] = value
+                    else:
+                        view = _view(arrays[stmt.array], n, ZERO_OFFSET, z0, z1)
+                        np.copyto(view, value)
+
+        return run
+
+    return [
+        phase(plan.primitive_phase),
+        *(phase((stmt,)) for stmt in plan.work_phase),
+        phase(plan.point_phase),
+    ]
+
+
 def execute_plan(
     plan: KernelPlan,
     store: FieldStore,
@@ -165,10 +198,14 @@ def execute_plan(
 ) -> dict[str, np.ndarray]:
     """Run the plan's three phases and return the residual fields.
 
-    Work arrays are halo-exchanged lazily: mid-phase only when a later
-    work statement actually taps them, and between phases only for the
-    arrays the point phase reads at nonzero offsets. Both sets come from
-    scanning the plan's own statements rather than assuming a policy.
+    The phases run compiled when the plan's C kernel builds and loads
+    (see ``cbackend``), and through the numpy slab evaluator otherwise;
+    both give the same bits. Each phase is split into k-ranges across
+    `workers` threads. Work arrays are halo-exchanged lazily: mid-phase
+    only when a later work statement actually taps them, and between
+    phases only for the arrays the point phase reads at nonzero offsets.
+    Both sets come from scanning the plan's own statements rather than
+    assuming a policy.
     """
     n = grid.n
     if store.grid.n != n:
@@ -179,69 +216,49 @@ def execute_plan(
     store.exchange_solution()
     _check_state(store, step)
 
-    spans = _slab_spans(n)
+    kernel = cbackend.KERNELS.lookup(plan, n)
     arrays = {name: store.full(name) for name in store.names()}
+    if kernel.functions is None:
+        phases = _numpy_phases(plan, arrays, n)
+        spans = _slab_spans(n)
+    else:
+        table = kernel.pointers(arrays)
+        phases = [functools.partial(f, table) for f in kernel.functions]
+        spans = _worker_spans(n, workers)
+    primitive, *work, point = phases
 
-    # Overflow and NaN are legitimate runtime outcomes here; the explicit
-    # finiteness check below turns them into errors with point context, so
-    # numpy's own warnings are just noise (errstate is per-thread).
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z0, z1 in spans:
-            evaluator = _SlabEval(arrays, {}, n, z0, z1)
-            for stmt in plan.primitive_phase:
-                value = evaluator(stmt.expr)
-                if stmt.kind == "local":
-                    evaluator.locals[stmt.target] = value
-                else:
-                    np.copyto(
-                        _view(arrays[stmt.target], n, ZERO_OFFSET, z0, z1), value
-                    )
-    for name in PRIMITIVE_ARRAYS:
-        store.mark_dirty(name)
-    _check_pressure(store, step)
-    for name in PRIMITIVE_ARRAYS:
-        store.exchange(name)
+    pool = ThreadPoolExecutor(workers) if workers > 1 and len(spans) > 1 else None
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stmt in plan.work_phase:
-            for name in sorted(_offset_reads(stmt.expr)):
-                if store.is_dirty(name):
-                    store.exchange(name)
+    def launch(phase) -> None:
+        if pool is None:
             for z0, z1 in spans:
-                evaluator = _SlabEval(arrays, {}, n, z0, z1)
-                np.copyto(
-                    _view(arrays[stmt.target], n, ZERO_OFFSET, z0, z1),
-                    evaluator(stmt.expr),
-                )
-            store.mark_dirty(stmt.target)
+                phase(z0, z1)
+        else:
+            for future in [pool.submit(phase, z0, z1) for z0, z1 in spans]:
+                future.result()
 
-    point_taps: set[str] = set()
-    for stmt in plan.point_phase:
-        point_taps |= _offset_reads(stmt.expr)
-    for name in sorted(point_taps):
-        if store.is_dirty(name):
+    try:
+        launch(primitive)
+        for name in PRIMITIVE_ARRAYS:
+            store.mark_dirty(name)
+        _check_pressure(store, step)
+        for name in PRIMITIVE_ARRAYS:
             store.exchange(name)
 
-    def run_span(span: tuple[int, int]) -> None:
-        z0, z1 = span
-        evaluator = _SlabEval(arrays, {}, n, z0, z1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for stmt in plan.point_phase:
-                value = evaluator(stmt.expr)
-                if stmt.kind == "local":
-                    evaluator.locals[stmt.target] = value
-                else:
-                    np.copyto(
-                        _view(arrays["res_" + stmt.target], n, ZERO_OFFSET, z0, z1),
-                        value,
-                    )
+        for stmt, taps, phase in zip(plan.work_phase, kernel.work_taps, work):
+            for name in taps:
+                if store.is_dirty(name):
+                    store.exchange(name)
+            launch(phase)
+            store.mark_dirty(stmt.target)
 
-    if workers <= 1 or len(spans) == 1:
-        for span in spans:
-            run_span(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_span, spans))
+        for name in kernel.point_taps:
+            if store.is_dirty(name):
+                store.exchange(name)
+        launch(point)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     _check_residuals(store, step)
     return {component: store.residual(component) for component in RESIDUAL_TARGETS}

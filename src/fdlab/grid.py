@@ -77,8 +77,8 @@ _INTERIOR = (slice(HALO, -HALO),) * 3
 
 
 class FieldStore:
-    """Named padded arrays: solution, saved copies, primitives, residuals,
-    and work arrays allocated on demand per plan.
+    """Named padded arrays: solution, primitives, residuals, and work
+    arrays allocated on demand per plan.
 
     Exclusively owned by one driver at a time. Halo staleness is tracked
     per field so exchanges run only when a consumer needs wrapped data.
@@ -90,8 +90,6 @@ class FieldStore:
         self._dirty: set[str] = set()
         for name in COMPONENT_NAMES:
             self._allocate(name)
-        for name in COMPONENT_NAMES:
-            self._allocate("saved_" + name)
         for name in PRIMITIVE_ARRAYS:
             self._allocate(name)
         for name in COMPONENT_NAMES:
@@ -134,13 +132,6 @@ class FieldStore:
 
     def residual(self, component: str) -> np.ndarray:
         return self.interior("res_" + component)
-
-    def saved(self, name: str) -> np.ndarray:
-        return self.interior("saved_" + name)
-
-    def save_solution(self) -> None:
-        for name in COMPONENT_NAMES:
-            np.copyto(self.full("saved_" + name), self.full(name))
 
     def mark_dirty(self, name: str) -> None:
         if name not in self._arrays:

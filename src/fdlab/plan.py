@@ -49,6 +49,13 @@ class Statement:
     target: str
     expr: ex.Expr
 
+    @property
+    def array(self) -> str | None:
+        """The padded array the statement stores to; None for a local."""
+        if self.kind == "local":
+            return None
+        return "res_" + self.target if self.kind == "residual" else self.target
+
 
 @dataclass(frozen=True)
 class PlanCounters:

@@ -2,8 +2,7 @@
 
 The time integrator is the classic two-register three-stage scheme: an
 accumulator S per field carries scaled residual history, so only one
-extra register is needed besides the solution. A saved copy of the
-solution is still taken at the start of every step for diagnostics.
+extra register is needed besides the solution.
 """
 
 from __future__ import annotations
@@ -177,7 +176,6 @@ def rk3_step(
     grid = store.grid
     if accumulators is None:
         accumulators = allocate_accumulators(grid)
-    store.save_solution()
     for a_k, b_k in zip(scheme.a, scheme.b):
         residuals = execute_plan(plan, store, grid, workers=workers, step=step)
         for name in COMPONENT_NAMES:

@@ -1,7 +1,11 @@
 """Shared fixtures and binding helpers for the test suite."""
 
 import math
+import shutil
 
+import pytest
+
+from fdlab import cbackend
 from fdlab import expr as ex
 
 HALO_OFFSETS = [
@@ -73,3 +77,25 @@ class GridBindings(dict):
         ]
         self[key] = value
         return value
+
+
+@pytest.fixture
+def backends(monkeypatch, tmp_path):
+    """Iterate to run a test body on the compiled backend, when the
+    compiler is installed, and then on the numpy reference.
+
+    The numpy pass swaps in a kernel cache whose compiler does not exist,
+    which is the automatic fallback path.
+    """
+
+    def each():
+        if shutil.which(cbackend.COMPILER) is not None:
+            yield "c"
+        monkeypatch.setattr(
+            cbackend,
+            "KERNELS",
+            cbackend.KernelCache(tmp_path, compiler="fdlab-missing-compiler"),
+        )
+        yield "numpy"
+
+    return each

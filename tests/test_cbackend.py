@@ -1,0 +1,157 @@
+"""Compiled backend: bit-identity with numpy, fallback, and caching."""
+
+import dataclasses
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from fdlab import bench, cbackend
+from fdlab import executor as exe
+from fdlab.equations import FlowParams, build_equations
+from fdlab.grid import FieldStore, Grid
+from fdlab import expr as ex
+from fdlab.plan import RESIDUAL_TARGETS, Statement, build_plan
+from fdlab.solver import RunConfig, run
+
+VARIANTS = ("bl", "rs", "ss", "ra", "sn", "sn2")
+MISSING = "fdlab-missing-compiler"
+
+needs_compiler = pytest.mark.skipif(
+    shutil.which(cbackend.COMPILER) is None,
+    reason=f"{cbackend.COMPILER} is not installed",
+)
+
+
+@pytest.fixture(scope="module")
+def eqset():
+    return build_equations(FlowParams())
+
+
+def _random_store(grid, seed):
+    rng = np.random.default_rng(seed)
+    store = FieldStore(grid)
+    store.set_interior("rho", 1.0 + 0.2 * rng.random(grid.shape))
+    for i in range(3):
+        store.set_interior(f"rhou{i}", 0.3 * rng.standard_normal(grid.shape))
+    store.set_interior("rhoE", 2.5 + 0.3 * rng.random(grid.shape))
+    return store
+
+
+def _residual_bytes(plan, grid, workers):
+    store = _random_store(grid, seed=17)
+    residuals = exe.execute_plan(plan, store, grid, workers=workers)
+    return {c: residuals[c].tobytes() for c in RESIDUAL_TARGETS}
+
+
+def _count_compiles(monkeypatch):
+    calls = []
+    original = cbackend._compile
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cbackend, "_compile", counted)
+    return calls
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_residuals_byte_equal_numpy(eqset, monkeypatch, tmp_path, variant, n):
+    grid = Grid(n)
+    plan = build_plan(eqset, variant, grid.h)
+    kernel = cbackend.KERNELS.lookup(plan, n)
+    assert kernel.backend == "c", kernel.reason
+    compiled = {w: _residual_bytes(plan, grid, w) for w in (1, 3)}
+    monkeypatch.setattr(cbackend, "KERNELS", cbackend.KernelCache(tmp_path, MISSING))
+    reference = _residual_bytes(plan, grid, 1)
+    assert cbackend.KERNELS.lookup(plan, n).backend == "numpy"
+    for workers, got in compiled.items():
+        for component in RESIDUAL_TARGETS:
+            assert got[component] == reference[component], (workers, component)
+
+
+def test_missing_compiler_falls_back_with_reason(monkeypatch, tmp_path):
+    config = RunConfig(n=8, steps=2, policy="sn", repeats=1, cfl=0.4)
+    compiled = run(config).store
+    monkeypatch.setattr(cbackend, "KERNELS", cbackend.KernelCache(tmp_path, MISSING))
+    report = bench.run_matrix(config, ["sn"])
+    out = tmp_path / "out"
+    out.mkdir()
+    bench.emit_reports(report, out, json_path=out / "provenance.json")
+    doc = json.loads((out / "provenance.json").read_text())["backend"]
+    assert doc["ran"] == "numpy"
+    assert doc["kernels"]["sn"]["backend"] == "numpy"
+    assert MISSING in doc["fallback_reason"]
+    assert doc["compiler"] is None
+    fallback = run(config).store
+    for name in ("rho", "rhou0", "rhou1", "rhou2", "rhoE"):
+        assert fallback.interior(name).tobytes() == compiled.interior(name).tobytes()
+
+
+@needs_compiler
+def test_provenance_names_compiler_and_library(monkeypatch, tmp_path):
+    monkeypatch.setattr(cbackend, "KERNELS", cbackend.KernelCache(tmp_path))
+    report = bench.run_matrix(RunConfig(n=8, steps=1, policy="sn", repeats=1), ["sn"])
+    doc = report.backend
+    assert doc["ran"] == "c" and doc["fallback_reason"] is None
+    assert doc["compiler"] == cbackend.compiler_version(cbackend.COMPILER)
+    assert "-ffp-contract=off" in doc["flags"]
+    (library,) = tmp_path.glob("*.so")
+    assert doc["kernels"]["sn"]["sha256"] == cbackend._sha256_file(library)
+
+
+@needs_compiler
+def test_second_lookup_does_not_compile(eqset, monkeypatch, tmp_path):
+    cache = cbackend.KernelCache(tmp_path)
+    calls = _count_compiles(monkeypatch)
+    h = Grid(8).h
+    first = cache.lookup(build_plan(eqset, "sn", h), 8)
+    again = cache.lookup(build_plan(eqset, "sn", h), 8)  # equal, not identical
+    assert first.backend == "c" and again is first
+    assert len(calls) == 1
+
+
+@needs_compiler
+def test_disk_cache_is_reused_after_memo_cleared(eqset, monkeypatch, tmp_path):
+    plan = build_plan(eqset, "sn2", Grid(8).h)
+    first = cbackend.KernelCache(tmp_path).lookup(plan, 8)
+    calls = _count_compiles(monkeypatch)
+    second = cbackend.KernelCache(tmp_path).lookup(plan, 8)
+    assert second.backend == "c" and second is not first
+    assert second.sha256 == first.sha256
+    assert calls == []
+
+
+@needs_compiler
+def test_compiler_error_falls_back(eqset, monkeypatch, tmp_path):
+    monkeypatch.setattr(cbackend, "FLAGS", cbackend.FLAGS + ("-fno-such-flag",))
+    plan = build_plan(eqset, "ss", Grid(8).h)
+    kernel = cbackend.KernelCache(tmp_path).lookup(plan, 8)
+    assert kernel.backend == "numpy"
+    assert "-fno-such-flag" in kernel.reason
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_source_uses_exact_literals_and_left_folds(eqset):
+    source = cbackend.generate_source(build_plan(eqset, "bl", Grid(8).h), 8)
+    assert "(0x1.9999999999998p-2)" in source  # gamma - 1, from 0.3999999999999999
+    assert "fd_pow2(v_u0)" in source
+    assert "((fd_pow2(v_u0) + fd_pow2(v_u1)) + fd_pow2(v_u2))" in source
+    assert source.count("void fd_") == 63 + 2
+
+
+def test_plan_the_generator_cannot_express_runs_on_numpy(eqset, tmp_path):
+    # A work statement that taps its own target has no single-pass C form.
+    plan = build_plan(eqset, "rs", Grid(8).h)
+    first = plan.work_phase[0]
+    tapped = ex.add(first.expr, ex.array(first.target, (1, 0, 0)))
+    work = (Statement("array", first.target, tapped),) + plan.work_phase[1:]
+    odd = dataclasses.replace(plan, work_phase=work)
+    kernel = cbackend.KernelCache(tmp_path).lookup(odd, 8)
+    assert kernel.backend == "numpy"
+    assert kernel.reason.startswith("code generation:")
+    assert first.target in kernel.reason

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fdlab import cbackend
 from fdlab import equations as eq
 from fdlab import executor as exe
 from fdlab import expr as ex
@@ -139,19 +140,24 @@ class TestDeterminism:
             else:
                 assert blob == first["blob"]
 
-    def test_partitioning_does_not_change_bits(self, plans8, grid8, monkeypatch):
+    def test_partitioning_does_not_change_bits(
+        self, plans8, grid8, monkeypatch, backends
+    ):
         store = _random_store(grid8, seed=33)
         base = {
             c: np.array(v)
             for c, v in exe.execute_plan(plans8["bl"], store, grid8).items()
         }
-        # shrink slabs to 2 planes, then run with several workers
+        # shrink numpy slabs to 2 planes, then run with several workers
         monkeypatch.setattr(exe, "_SLAB_BYTES", 2 * 8 * 8 * 8)
         assert len(exe._slab_spans(grid8.n)) == 4
-        for workers in (1, 3):
-            got = exe.execute_plan(plans8["bl"], store, grid8, workers=workers)
-            for c in pl.RESIDUAL_TARGETS:
-                assert got[c].tobytes() == base[c].tobytes(), (workers, c)
+        for backend in backends():
+            kernel = cbackend.KERNELS.lookup(plans8["bl"], grid8.n)
+            assert kernel.backend == backend, kernel.reason
+            for workers in (1, 3):
+                got = exe.execute_plan(plans8["bl"], store, grid8, workers=workers)
+                for c in pl.RESIDUAL_TARGETS:
+                    assert got[c].tobytes() == base[c].tobytes(), (backend, workers, c)
 
 
 class TestAllocation:
@@ -178,40 +184,47 @@ class TestAllocation:
 
 
 class TestErrors:
-    def test_negative_density(self, plans8, grid8, params):
-        store = _uniform_store(grid8, params)
-        values = np.array(store.interior("rho"))
-        values[2, 3, 4] = -1.0
-        store.set_interior("rho", values)
-        with pytest.raises(StateError, match=r"density.*\(2, 3, 4\)"):
-            exe.execute_plan(plans8["bl"], store, grid8)
+    """Every case runs on both backends: the checks live in execute_plan."""
 
-    def test_negative_pressure(self, plans8, grid8, params):
-        store = _uniform_store(grid8, params)
-        store.set_interior("rhoE", 1e-6)
-        with pytest.raises(StateError, match="pressure"):
-            exe.execute_plan(plans8["bl"], store, grid8)
+    def test_negative_density(self, plans8, grid8, params, backends):
+        for backend in backends():
+            store = _uniform_store(grid8, params)
+            values = np.array(store.interior("rho"))
+            values[2, 3, 4] = -1.0
+            store.set_interior("rho", values)
+            with pytest.raises(StateError, match=r"density.*\(2, 3, 4\)"):
+                exe.execute_plan(plans8["bl"], store, grid8)
 
-    def test_overflow_reports_blowup_with_step(self, plans8, grid8):
-        store = FieldStore(grid8)
-        store.set_interior("rho", 1.0)
-        store.set_interior("rhou0", 1e150)
-        store.set_interior("rhoE", 1e301)
-        with pytest.raises(NumericalBlowupError, match=r"step 7"):
-            exe.execute_plan(plans8["bl"], store, grid8, step=7)
+    def test_negative_pressure(self, plans8, grid8, params, backends):
+        for backend in backends():
+            store = _uniform_store(grid8, params)
+            store.set_interior("rhoE", 1e-6)
+            with pytest.raises(StateError, match="pressure"):
+                exe.execute_plan(plans8["bl"], store, grid8)
 
-    def test_spacing_mismatch(self, eqset, grid8):
+    def test_overflow_reports_blowup_with_step(self, plans8, grid8, backends):
+        for backend in backends():
+            store = FieldStore(grid8)
+            store.set_interior("rho", 1.0)
+            store.set_interior("rhou0", 1e150)
+            store.set_interior("rhoE", 1e301)
+            with pytest.raises(NumericalBlowupError, match=r"step 7"):
+                exe.execute_plan(plans8["bl"], store, grid8, step=7)
+
+    def test_spacing_mismatch(self, eqset, grid8, backends):
         other = pl.build_plan(eqset, "bl", Grid(16).h)
-        store = FieldStore(grid8)
-        store.set_interior("rho", 1.0)
-        store.set_interior("rhoE", 2.0)
-        with pytest.raises(GridError, match="spacing"):
-            exe.execute_plan(other, store, grid8)
+        for backend in backends():
+            store = FieldStore(grid8)
+            store.set_interior("rho", 1.0)
+            store.set_interior("rhoE", 2.0)
+            with pytest.raises(GridError, match="spacing"):
+                exe.execute_plan(other, store, grid8)
 
-    def test_store_grid_mismatch(self, plans8, grid8):
-        store = FieldStore(Grid(16))
-        with pytest.raises(GridError, match="n="):
-            exe.execute_plan(plans8["bl"], store, grid8)
+    def test_store_grid_mismatch(self, plans8, grid8, backends):
+        for backend in backends():
+            store = FieldStore(Grid(16))
+            with pytest.raises(GridError, match="n="):
+                exe.execute_plan(plans8["bl"], store, grid8)
 
 
 class TestEvaluateExpression:

@@ -100,9 +100,9 @@ class TestFieldStore:
     def test_base_allocation(self):
         store = FieldStore(Grid(8))
         names = set(store.names())
-        for name in ("rho", "rhou0", "rhoE", "u0", "p", "T", "res_rho", "saved_rho"):
+        for name in ("rho", "rhou0", "rhoE", "u0", "p", "T", "res_rho"):
             assert name in names
-        assert len(names) == 20
+        assert len(names) == 15
         assert store.work_names == ()
 
     def test_work_allocation_idempotent(self):
@@ -110,7 +110,7 @@ class TestFieldStore:
         store.ensure_work(("d_a", "d_b"))
         store.ensure_work(("d_a", "d_b"))
         assert store.work_names == ("d_a", "d_b")
-        assert len(store.names()) == 22
+        assert len(store.names()) == 17
         assert store.full("d_a").shape == (16, 16, 16)
 
     def test_layout_is_axis0_fastest(self):
@@ -131,13 +131,6 @@ class TestFieldStore:
             store.full("missing")
         with pytest.raises(GridError):
             store.mark_dirty("missing")
-
-    def test_save_solution_copies(self):
-        store = FieldStore(Grid(8))
-        store.set_interior("rho", 2.5)
-        store.save_solution()
-        store.set_interior("rho", 9.0)
-        assert float(store.saved("rho")[0, 0, 0]) == 2.5
 
 
 class TestGridSum:
