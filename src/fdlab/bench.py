@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def run_matrix(
     report = BenchReport(config=_config_dict(config, variants))
     plans = []
     for variant in sorted(variants, key=_variant_rank):
-        run_config = _with_policy(config, variant)
+        run_config = replace(config, policy=variant)
         for repeat in range(1, config.repeats + 1):
             source = source_factory() if source_factory is not None else None
             try:
@@ -218,22 +218,6 @@ def run_matrix(
     report.rows.sort(key=lambda r: (_variant_rank(r.variant), r.repeat))
     report.aggregates = aggregate(report.rows)
     return report
-
-
-def _with_policy(config: RunConfig, variant: str) -> RunConfig:
-    return RunConfig(
-        n=config.n,
-        steps=config.steps,
-        policy=variant,
-        params=config.params,
-        dt=config.dt,
-        cfl=config.cfl,
-        repeats=config.repeats,
-        monitor=config.monitor,
-        out_dir=config.out_dir,
-        snapshot_every=config.snapshot_every,
-        workers=config.workers,
-    )
 
 
 def _config_dict(config: RunConfig, variants: list[str]) -> dict:

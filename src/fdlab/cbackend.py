@@ -279,35 +279,16 @@ def default_cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"fdlab-kernels-{os.getuid()}"
 
 
-def _offset_reads(expr: ex.Expr) -> tuple[str, ...]:
-    """Names of arrays the expression reads at any nonzero offset."""
-    return tuple(
-        sorted(
-            {
-                name
-                for kind, name, offset in ex.references(expr)
-                if kind == "arr" and offset != ZERO_OFFSET
-            }
-        )
-    )
-
-
 @dataclass
 class Kernel:
-    """What execute_plan needs per plan: its halo taps and its phase
-    functions, or the reason there are none.
+    """A plan's compiled phase functions, or the reason there are none.
 
-    ``work_taps[i]`` are the arrays work statement i reads at a nonzero
-    offset, ``point_taps`` those the point phase reads so; scanning the
-    trees once here keeps the walk out of every evaluation. ``functions``
-    follow ``phase_names`` order; None means the numpy reference
-    evaluator runs this plan, and ``reason`` says why.
+    ``functions`` follow ``phase_names`` order; None means the numpy
+    reference evaluator runs this plan, and ``reason`` says why.
     """
 
     policy: str
     n: int
-    work_taps: tuple[tuple[str, ...], ...]
-    point_taps: tuple[str, ...]
     table: tuple[str, ...] = ()
     functions: tuple | None = None
     library: ctypes.CDLL | None = None
@@ -371,15 +352,7 @@ class KernelCache:
         return kernel
 
     def _load(self, plan: KernelPlan, n: int) -> Kernel:
-        point_taps = set()
-        for stmt in plan.point_phase:
-            point_taps.update(_offset_reads(stmt.expr))
-        kernel = Kernel(
-            plan.policy.value,
-            n,
-            work_taps=tuple(_offset_reads(s.expr) for s in plan.work_phase),
-            point_taps=tuple(sorted(point_taps)),
-        )
+        kernel = Kernel(plan.policy.value, n)
         try:
             source = generate_source(plan, n)
         except UnsupportedPlan as err:

@@ -110,27 +110,20 @@ def parse_config(argv=None) -> tuple[RunConfig, argparse.Namespace]:
     options = parser.parse_args(argv)
     if options.grid < 8:
         parser.error(f"--grid must be at least 8, got {options.grid}")
-    if options.steps < 0:
-        parser.error(f"--steps must be non-negative, got {options.steps}")
-    if options.repeats < 1:
-        parser.error(f"--repeats must be positive, got {options.repeats}")
-    if options.dt is not None and options.dt <= 0:
-        parser.error(f"--dt must be positive, got {options.dt}")
-    if options.cfl is not None and options.cfl <= 0:
-        parser.error(f"--cfl must be positive, got {options.cfl}")
-    if options.snapshot < 0:
-        parser.error(f"--snapshot must be non-negative, got {options.snapshot}")
+    try:
+        config = RunConfig(
+            n=options.grid,
+            steps=options.steps,
+            policy=options.variant if options.variant != "all" else "bl",
+            dt=options.dt,
+            cfl=options.cfl if options.cfl is not None else 0.4,
+            repeats=options.repeats,
+            out_dir=options.out,
+            snapshot_every=options.snapshot,
+        )
+    except ValueError as err:
+        parser.error(str(err))
     _check_power_spec(options.power_source, parser)
-    config = RunConfig(
-        n=options.grid,
-        steps=options.steps,
-        policy=options.variant if options.variant != "all" else "bl",
-        dt=options.dt,
-        cfl=options.cfl if options.cfl is not None else 0.4,
-        repeats=options.repeats,
-        out_dir=options.out,
-        snapshot_every=options.snapshot,
-    )
     return config, options
 
 

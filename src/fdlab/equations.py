@@ -279,11 +279,6 @@ def build_equations(params: FlowParams) -> EquationSet:
     )
 
 
-def enumerate_derivatives(eqset: EquationSet) -> tuple[DerivativeEntry, ...]:
-    """The deduplicated, deterministically ordered derivative census."""
-    return eqset.derivatives
-
-
 def split_terms(residual: ex.Expr) -> list[ex.Expr]:
     """Decompose a residual into its expanded summands.
 

@@ -120,25 +120,19 @@ def _first_bad_point(mask: np.ndarray) -> tuple[int, int, int]:
     return tuple(int(v) for v in index)
 
 
-def _check_state(store: FieldStore, step) -> None:
-    rho = store.interior("rho")
-    bad = ~(rho > 0)
+def _at_step(step) -> str:
+    return f" (step {step})" if step is not None else ""
+
+
+def check_positive(values: np.ndarray, quantity: str, step) -> None:
+    """Raise StateError naming the first interior point where `values`
+    is not positive (NaN included)."""
+    bad = ~(values > 0)
     if bad.any():
         point = _first_bad_point(bad)
         raise StateError(
-            f"non-positive density {rho[point]!r} at interior point {point}"
-            + (f" (step {step})" if step is not None else "")
-        )
-
-
-def _check_pressure(store: FieldStore, step) -> None:
-    p = store.interior("p")
-    bad = ~(p > 0)
-    if bad.any():
-        point = _first_bad_point(bad)
-        raise StateError(
-            f"non-positive pressure {p[point]!r} at interior point {point}"
-            + (f" (step {step})" if step is not None else "")
+            f"non-positive {quantity} {values[point]!r} at interior point {point}"
+            + _at_step(step)
         )
 
 
@@ -150,7 +144,7 @@ def _check_residuals(store: FieldStore, step) -> None:
             point = _first_bad_point(~finite)
             raise NumericalBlowupError(
                 f"non-finite residual for {component} at interior point {point}"
-                + (f" (step {step})" if step is not None else "")
+                + _at_step(step)
             )
 
 
@@ -201,11 +195,12 @@ def execute_plan(
     The phases run compiled when the plan's C kernel builds and loads
     (see ``cbackend``), and through the numpy slab evaluator otherwise;
     both give the same bits. Each phase is split into k-ranges across
-    `workers` threads. Work arrays are halo-exchanged lazily: mid-phase
-    only when a later work statement actually taps them, and between
-    phases only for the arrays the point phase reads at nonzero offsets.
-    Both sets come from scanning the plan's own statements rather than
-    assuming a policy.
+    `workers` threads.
+
+    This is the only code that refreshes halos, and it trusts none it
+    finds: it exchanges the solution on entry, the primitives after the
+    primitive phase, and each of ``plan.exchanged_arrays`` right after
+    the work statement that writes it.
     """
     n = grid.n
     if store.grid.n != n:
@@ -213,8 +208,9 @@ def execute_plan(
     if not math.isclose(plan.h, grid.h, rel_tol=1e-12, abs_tol=0.0):
         raise GridError(f"plan spacing {plan.h} does not match grid spacing {grid.h}")
     store.ensure_work(plan.work_array_names())
-    store.exchange_solution()
-    _check_state(store, step)
+    for name in COMPONENT_NAMES:
+        store.exchange(name)
+    check_positive(store.interior("rho"), "density", step)
 
     kernel = cbackend.KERNELS.lookup(plan, n)
     arrays = {name: store.full(name) for name in store.names()}
@@ -239,22 +235,13 @@ def execute_plan(
 
     try:
         launch(primitive)
-        for name in PRIMITIVE_ARRAYS:
-            store.mark_dirty(name)
-        _check_pressure(store, step)
+        check_positive(store.interior("p"), "pressure", step)
         for name in PRIMITIVE_ARRAYS:
             store.exchange(name)
-
-        for stmt, taps, phase in zip(plan.work_phase, kernel.work_taps, work):
-            for name in taps:
-                if store.is_dirty(name):
-                    store.exchange(name)
+        for stmt, phase in zip(plan.work_phase, work):
             launch(phase)
-            store.mark_dirty(stmt.target)
-
-        for name in kernel.point_taps:
-            if store.is_dirty(name):
-                store.exchange(name)
+            if stmt.target in plan.exchanged_arrays:
+                store.exchange(stmt.target)
         launch(point)
     finally:
         if pool is not None:
@@ -269,21 +256,19 @@ def evaluate_expression(
 ) -> np.ndarray:
     """Evaluate one discretized expression over the full interior.
 
-    Diagnostic path: refreshes the halos of whatever the expression
-    references, then runs the same slab evaluator in a single span. The
-    result is a fresh array unless the expression is a bare reference,
-    in which case it is a read-only view.
+    Diagnostic path: refreshes the halos of whatever the expression reads
+    at an offset, once per array, then runs the same slab evaluator in a
+    single span. The result is a fresh array unless the expression is a
+    bare reference, in which case it is a read-only view.
     """
     n = store.grid.n
-    for kind, ident, offset in ex.references(expr):
-        if kind == "sol":
-            name = COMPONENT_NAMES[ident]
-        elif kind == "arr":
-            name = ident
-        else:
-            continue
-        if offset != ZERO_OFFSET and store.is_dirty(name):
-            store.exchange(name)
+    tapped = {
+        COMPONENT_NAMES[ident] if kind == "sol" else ident
+        for kind, ident, offset in ex.references(expr)
+        if kind != "loc" and offset != ZERO_OFFSET
+    }
+    for name in tapped:
+        store.exchange(name)
     arrays = {name: store.full(name) for name in store.names()}
     value = _SlabEval(arrays, locals_ or {}, n, 0, n)(expr)
     if not isinstance(value, np.ndarray):

@@ -80,14 +80,14 @@ class FieldStore:
     """Named padded arrays: solution, primitives, residuals, and work
     arrays allocated on demand per plan.
 
-    Exclusively owned by one driver at a time. Halo staleness is tracked
-    per field so exchanges run only when a consumer needs wrapped data.
+    Exclusively owned by one driver at a time. The store keeps no record
+    of which halos are current: ``execute_plan`` refreshes them at fixed
+    points of every evaluation, taken from the plan.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._arrays: dict[str, np.ndarray] = {}
-        self._dirty: set[str] = set()
         for name in COMPONENT_NAMES:
             self._allocate(name)
         for name in PRIMITIVE_ARRAYS:
@@ -98,7 +98,6 @@ class FieldStore:
 
     def _allocate(self, name: str) -> None:
         self._arrays[name] = np.zeros(self.grid.padded_shape, order="F")
-        self._dirty.add(name)
 
     def ensure_work(self, names: tuple[str, ...]) -> None:
         """Allocate the plan's work arrays; repeated calls are no-ops."""
@@ -114,9 +113,6 @@ class FieldStore:
     def names(self) -> tuple[str, ...]:
         return tuple(self._arrays)
 
-    def has(self, name: str) -> bool:
-        return name in self._arrays
-
     def full(self, name: str) -> np.ndarray:
         try:
             return self._arrays[name]
@@ -128,27 +124,12 @@ class FieldStore:
 
     def set_interior(self, name: str, values) -> None:
         self.interior(name)[...] = values
-        self._dirty.add(name)
 
     def residual(self, component: str) -> np.ndarray:
         return self.interior("res_" + component)
 
-    def mark_dirty(self, name: str) -> None:
-        if name not in self._arrays:
-            raise GridError(f"unknown field {name!r}")
-        self._dirty.add(name)
-
-    def is_dirty(self, name: str) -> bool:
-        return name in self._dirty
-
     def exchange(self, name: str) -> None:
         halo_exchange_periodic(self.full(name))
-        self._dirty.discard(name)
-
-    def exchange_solution(self) -> None:
-        for name in COMPONENT_NAMES:
-            if self.is_dirty(name):
-                self.exchange(name)
 
 
 def grid_sum(field: np.ndarray) -> float:

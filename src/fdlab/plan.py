@@ -74,24 +74,12 @@ class KernelPlan:
     work_phase: tuple[Statement, ...]
     point_phase: tuple[Statement, ...]
     counters: PlanCounters
+    #: Work arrays some statement reads at a nonzero offset: execute_plan
+    #: refreshes each one's halo right after the statement that writes it.
+    exchanged_arrays: frozenset[str]
 
     def work_array_names(self) -> tuple[str, ...]:
         return tuple(s.target for s in self.work_phase)
-
-    def offset_read_arrays(self, phase: str) -> set[str]:
-        """Work arrays read at a nonzero offset by the given phase.
-
-        These are the arrays whose halos must be current before (or
-        while, for the work phase itself) that phase runs.
-        """
-        work = set(self.work_array_names())
-        stmts = self.work_phase if phase == "work" else self.point_phase
-        found: set[str] = set()
-        for s in stmts:
-            for kind, name, off in ex.references(s.expr):
-                if kind == "arr" and name in work and off != (0, 0, 0):
-                    found.add(name)
-        return found
 
 
 def _coerce_policy(policy) -> StoragePolicy:
@@ -204,26 +192,31 @@ def _validate(plan_stmts, work_names: set[str]) -> None:
             assigned.add(s.target)
 
 
-def _count_plan(primitive, work, point) -> PlanCounters:
+def _count_plan(primitive, work, point) -> tuple[PlanCounters, frozenset[str]]:
+    """The plan's counters, and the work arrays read at a nonzero offset."""
     ops = 0
     reads = 0
     writes = 0
+    offset_reads: set[str] = set()
     for stmt in (*primitive, *work, *point):
         ops += ex.count_ops(stmt.expr).total()
         if stmt.kind == "local":
             ops += 1
         else:
             writes += 1
-        for kind, _, _ in ex.references(stmt.expr):
+        for kind, name, offset in ex.references(stmt.expr):
             if kind in ("sol", "arr"):
                 reads += 1
-    return PlanCounters(
+            if kind == "arr" and offset != ex.ZERO_OFFSET:
+                offset_reads.add(name)
+    counters = PlanCounters(
         extra_arrays=len(work),
         locals=sum(1 for s in point if s.kind == "local"),
         ops_per_point=ops,
         global_reads_per_point=reads,
         global_writes_per_point=writes,
     )
+    return counters, frozenset(offset_reads.intersection(s.target for s in work))
 
 
 def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
@@ -270,6 +263,7 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
     point = tuple(point)
 
     _validate(point, {s.target for s in work})
+    counters, exchanged = _count_plan(primitive, work, point)
 
     return KernelPlan(
         policy=policy,
@@ -277,7 +271,8 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
         primitive_phase=primitive,
         work_phase=work,
         point_phase=point,
-        counters=_count_plan(primitive, work, point),
+        counters=counters,
+        exchanged_arrays=exchanged,
     )
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equations import FlowParams, build_equations
-from .errors import StateError
-from .executor import execute_plan
+from .executor import check_positive, execute_plan
 from .expr import COMPONENT_NAMES
 from .grid import FieldStore, Grid, write_snapshot
 from .plan import KernelPlan, build_plan
@@ -117,7 +116,6 @@ def init_tgv(grid: Grid, params: FlowParams) -> FieldStore:
     store.set_interior(
         "rhoE", p / (params.gamma - 1.0) + 0.5 * rho * (u0**2 + u1**2)
     )
-    store.exchange_solution()
     return store
 
 
@@ -136,25 +134,16 @@ def compute_timestep(store: FieldStore, params: FlowParams, cfl: float) -> float
 
 
 def _check_thermo(store: FieldStore, step) -> None:
+    """Density and internal energy after a stage's update. The density
+    test repeats the one at the next execute_plan entry, but after a
+    run's last stage no such entry comes."""
     rho = store.interior("rho")
-    bad = ~(rho > 0)
-    if bad.any():
-        point = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise StateError(
-            f"non-positive density at interior point {point}"
-            + (f" (step {step})" if step is not None else "")
-        )
+    check_positive(rho, "density", step)
     kinetic = np.zeros(store.grid.shape)
     for i in range(3):
         kinetic += store.interior(f"rhou{i}") ** 2
     internal = store.interior("rhoE") - 0.5 * kinetic / rho
-    bad = ~(internal > 0)
-    if bad.any():
-        point = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise StateError(
-            f"non-positive internal energy at interior point {point}"
-            + (f" (step {step})" if step is not None else "")
-        )
+    check_positive(internal, "internal energy", step)
 
 
 def allocate_accumulators(grid: Grid) -> dict[str, np.ndarray]:
@@ -170,7 +159,11 @@ def rk3_step(
     workers: int = 1,
     step: int | None = None,
 ) -> FieldStore:
-    """Advance the solution by one timestep in place."""
+    """Advance the solution by one timestep in place.
+
+    Only interiors are updated; the next ``execute_plan`` refreshes the
+    solution's halos.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = store.grid
@@ -187,8 +180,6 @@ def rk3_step(
                 np.add(acc, residuals[name], out=acc)
             solution = store.interior(name)
             np.add(solution, (b_k * dt) * acc, out=solution)
-            store.mark_dirty(name)
-        store.exchange_solution()
         _check_thermo(store, step)
     return store
 

@@ -160,6 +160,26 @@ class TestDeterminism:
                     assert got[c].tobytes() == base[c].tobytes(), (backend, workers, c)
 
 
+class TestHalos:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stale_halos_are_refreshed(self, plans8, grid8, backends, variant):
+        # execute_plan must trust no halo it finds, even after an earlier
+        # call on the same store left them all current
+        plan = plans8[variant]
+        fresh = exe.execute_plan(plan, _random_store(grid8, seed=13), grid8)
+        want = {c: fresh[c].tobytes() for c in pl.RESIDUAL_TARGETS}
+        for backend in backends():
+            store = _random_store(grid8, seed=13)
+            exe.execute_plan(plan, store, grid8)
+            for name in store.names():
+                interior = store.interior(name).copy()
+                store.full(name)[...] = np.nan
+                store.interior(name)[...] = interior
+            got = exe.execute_plan(plan, store, grid8)
+            for c in pl.RESIDUAL_TARGETS:
+                assert got[c].tobytes() == want[c], (backend, c)
+
+
 class TestAllocation:
     def test_baseline_allocates_all_work_arrays(self, plans8, grid8, params):
         store = _uniform_store(grid8, params)

@@ -117,20 +117,10 @@ class TestFieldStore:
         store = FieldStore(Grid(8))
         assert store.full("rho").flags.f_contiguous
 
-    def test_dirty_tracking(self):
-        store = FieldStore(Grid(8))
-        assert store.is_dirty("rho")
-        store.exchange("rho")
-        assert not store.is_dirty("rho")
-        store.set_interior("rho", 1.0)
-        assert store.is_dirty("rho")
-
     def test_unknown_field(self):
         store = FieldStore(Grid(8))
         with pytest.raises(GridError, match="unknown field"):
             store.full("missing")
-        with pytest.raises(GridError):
-            store.mark_dirty("missing")
 
 
 class TestGridSum:

@@ -111,15 +111,12 @@ class TestStructure:
         names = {name for kind, name, _ in ex.references(stmt.expr)}
         assert names == {"u1"}
 
-    def test_offset_read_arrays(self, plans):
-        diag = {"d_u0_x0", "d_u1_x1", "d_u2_x2"}
-        assert plans["bl"].offset_read_arrays("work") == diag
-        assert plans["bl"].offset_read_arrays("point") == set()
-        for v in ("rs", "ss"):
-            assert plans[v].offset_read_arrays("work") == set()
-            assert plans[v].offset_read_arrays("point") == diag
+    def test_exchanged_arrays(self, plans):
+        diag = frozenset({"d_u0_x0", "d_u1_x1", "d_u2_x2"})
+        for v in ("bl", "rs", "ss"):
+            assert plans[v].exchanged_arrays == diag
         for v in ("ra", "sn", "sn2"):
-            assert plans[v].offset_read_arrays("point") == set()
+            assert plans[v].exchanged_arrays == frozenset()
 
 
 class TestReplicatedOrdering:

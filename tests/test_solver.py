@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fdlab import grid as grid_module
 from fdlab import solver as sv
 from fdlab.equations import FlowParams, build_equations
 from fdlab.expr import COMPONENT_NAMES
@@ -30,7 +31,6 @@ def _uniform_store(grid, values=(1.0, 0.3, -0.2, 0.1, 2.5)):
     store = FieldStore(grid)
     for name, value in zip(COMPONENT_NAMES, values):
         store.set_interior(name, value)
-    store.exchange_solution()
     return store
 
 
@@ -142,9 +142,6 @@ class TestInitTGV:
     def test_velocity_field_is_discretely_divergence_free(self, store32):
         assert integral_diagnostics(store32)["max_divergence"] < 1e-12
 
-    def test_halos_already_exchanged(self, store32):
-        assert not any(store32.is_dirty(name) for name in COMPONENT_NAMES)
-
     def test_density_positive(self, store32):
         assert store32.interior("rho").min() > 0.0
 
@@ -230,6 +227,27 @@ class TestRK3Step:
         for name, start in initial.items():
             drift = abs(grid_sum(store.interior(name)) - start)
             assert drift <= 1e-9 * mass_scale, name
+
+    @pytest.mark.parametrize("variant", [p.value for p in StoragePolicy])
+    def test_halo_exchanges_per_step(self, eqs, monkeypatch, backends, variant):
+        # 3 stages x (5 solution fields, 5 primitives, and the diagonal
+        # velocity gradients where a plan stores them: 3 or none)
+        expected = 39 if variant in ("bl", "rs", "ss") else 30
+        grid = Grid(8)
+        plan = build_plan(eqs, variant, grid.h)
+        calls = []
+        exchange = grid_module.halo_exchange_periodic
+
+        def counting(field):
+            calls.append(field.shape)
+            return exchange(field)
+
+        monkeypatch.setattr(grid_module, "halo_exchange_periodic", counting)
+        for backend in backends():
+            store = init_tgv(grid, PARAMS)
+            calls.clear()
+            rk3_step(store, plan, RKScheme(), dt=1e-3, step=1)
+            assert len(calls) == expected, backend
 
     def test_variants_agree_after_steps(self, eqs):
         grid = Grid(16)
