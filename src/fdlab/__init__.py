@@ -58,7 +58,6 @@ from .power import (
     summarize,
 )
 from .solver import (
-    RKScheme,
     RunConfig,
     RunResult,
     compute_timestep,
@@ -88,7 +87,6 @@ __all__ = [
     "PowerSample",
     "PowerSource",
     "ReportError",
-    "RKScheme",
     "RunConfig",
     "RunResult",
     "StateError",

@@ -17,13 +17,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__, cbackend
-from .equations import build_equations
 from .errors import ReportError
 from .expr import COMPONENT_NAMES
-from .grid import Grid
-from .plan import StoragePolicy, build_plan, plan_counters
-from .power import IterationRecord, PowerSource
-from .solver import RKScheme, RunConfig, compute_timestep, init_tgv, rk3_step, run
+from .plan import StoragePolicy, plan_counters
+from .power import IterationRecord
+from .solver import RunConfig, run
 
 VARIANT_ORDER = tuple(policy.value for policy in StoragePolicy)
 
@@ -237,38 +235,28 @@ class ValidationReport:
     messages: list[str]
 
 
-def validate_mode(config: RunConfig, plan_factory=build_plan) -> ValidationReport:
-    """Advance all six variants from one initial state and compare.
+def validate_mode(config: RunConfig) -> ValidationReport:
+    """Advance all six variants through `run` and compare final states.
 
-    Every variant starts from the identical vortex state and takes the
-    same number of steps with the same dt. The report carries, per
-    variant and conserved component, the max-norm deviation from the
-    baseline relative to that component's own max-norm scale.
+    Each variant runs `config` with its own policy and no snapshots, so
+    all start from the identical vortex state and take the same number of
+    steps with the same dt. The report carries, per variant and conserved
+    component, the max-norm deviation from the baseline relative to that
+    component's own max-norm scale.
     """
-    grid = Grid(config.n)
-    params = config.params
-    eqs = build_equations(params)
-    reference = init_tgv(grid, params)
-    dt = config.dt if config.dt is not None else compute_timestep(
-        reference, params, config.cfl
-    )
-    scheme = RKScheme()
-
     solutions: dict[str, dict[str, np.ndarray]] = {}
     messages: list[str] = []
     failed = False
     for variant in VARIANT_ORDER:
-        store = init_tgv(grid, params)
         try:
-            plan = plan_factory(eqs, variant, grid.h)
-            for step in range(1, config.steps + 1):
-                rk3_step(store, plan, scheme, dt, workers=config.workers, step=step)
+            result = run(replace(config, policy=variant, snapshot_every=0))
         except Exception as err:
             messages.append(f"{variant}: run failed: {err}")
             failed = True
             continue
+        # copies, so the variant's work arrays are freed with its store
         solutions[variant] = {
-            name: store.interior(name).copy() for name in COMPONENT_NAMES
+            name: result.store.interior(name).copy() for name in COMPONENT_NAMES
         }
 
     deviations: dict[str, dict[str, float]] = {}

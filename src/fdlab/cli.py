@@ -26,8 +26,6 @@ from .plan import build_plan, dump_plan
 from .power import parse_power_spec
 from .solver import RunConfig
 
-_NULL_SPECS = ("", "none", "null")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -90,10 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_power_spec(spec: str, parser: argparse.ArgumentParser) -> None:
-    """Reject malformed meter specs at parse time without side effects."""
+    """Reject malformed meter specs at parse time without side effects:
+    a cmd: spec is split but never spawned."""
     spec = spec.strip()
-    if spec in _NULL_SPECS:
-        return
     if spec.startswith("cmd:"):
         if not shlex.split(spec[4:]):
             parser.error("power source cmd: needs a command line")
@@ -176,10 +173,11 @@ def _format_cell(value) -> str:
 
 def _run_benchmarks(config: RunConfig, options) -> int:
     os.makedirs(options.out, exist_ok=True)
-    spec = options.power_source.strip()
-    factory = None if spec in _NULL_SPECS else (lambda: parse_power_spec(spec))
     variants = _selected_variants(options)
-    report = run_matrix(config, variants, source_factory=factory)
+    report = run_matrix(
+        config, variants,
+        source_factory=lambda: parse_power_spec(options.power_source),
+    )
     json_path = os.path.join(options.out, "provenance.json")
     written = emit_reports(report, options.out, json_path=json_path)
     header = ("variant", "mean_runtime_s", "speedup", "mean_energy_j",

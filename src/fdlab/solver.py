@@ -30,31 +30,14 @@ RK_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 RK_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 
 
-@dataclass(frozen=True)
-class RKScheme:
-    """Two-register low-storage Runge-Kutta coefficients."""
-
-    a: tuple[float, float, float] = RK_A
-    b: tuple[float, float, float] = RK_B
-
-    def __post_init__(self) -> None:
-        if len(self.a) != 3 or len(self.b) != 3:
-            raise ValueError("scheme needs exactly 3 stages")
-        if self.a[0] != 0.0:
-            raise ValueError("first stage must start a fresh accumulator")
-
-    @property
-    def stages(self) -> int:
-        return 3
-
-    def advance_scalar(self, y: float, rhs, dt: float) -> float:
-        """One step of dy/dt = rhs(y); the array update in rk3_step
-        follows exactly this recurrence."""
-        s = 0.0
-        for a_k, b_k in zip(self.a, self.b):
-            s = a_k * s + rhs(y)
-            y = y + b_k * dt * s
-        return y
+def rk3_scalar(y: float, rhs, dt: float) -> float:
+    """One step of dy/dt = rhs(y); the array update in rk3_step follows
+    exactly this recurrence."""
+    s = 0.0
+    for a_k, b_k in zip(RK_A, RK_B):
+        s = a_k * s + rhs(y)
+        y = y + b_k * dt * s
+    return y
 
 
 @dataclass(frozen=True)
@@ -68,7 +51,6 @@ class RunConfig:
     dt: float | None = None
     cfl: float | None = 0.4
     repeats: int = 5
-    monitor: bool = True
     out_dir: str | None = None
     snapshot_every: int = 0
     workers: int = 1
@@ -153,7 +135,6 @@ def allocate_accumulators(grid: Grid) -> dict[str, np.ndarray]:
 def rk3_step(
     store: FieldStore,
     plan: KernelPlan,
-    scheme: RKScheme,
     dt: float,
     accumulators: dict[str, np.ndarray] | None = None,
     workers: int = 1,
@@ -169,7 +150,7 @@ def rk3_step(
     grid = store.grid
     if accumulators is None:
         accumulators = allocate_accumulators(grid)
-    for a_k, b_k in zip(scheme.a, scheme.b):
+    for a_k, b_k in zip(RK_A, RK_B):
         residuals = execute_plan(plan, store, grid, workers=workers, step=step)
         for name in COMPONENT_NAMES:
             acc = accumulators[name]
@@ -186,14 +167,11 @@ def rk3_step(
 
 @dataclass
 class RunResult:
-    config: RunConfig
-    grid: Grid
     plan: KernelPlan
     store: FieldStore
     dt: float
     records: list[IterationRecord]
     summary: dict[str, float]
-    steps_completed: int
 
 
 def run(
@@ -214,7 +192,6 @@ def run(
     dt = config.dt if config.dt is not None else compute_timestep(
         store, config.params, config.cfl
     )
-    scheme = RKScheme()
     accumulators = allocate_accumulators(grid)
     if source is None:
         source = NullSource()
@@ -223,8 +200,6 @@ def run(
     t_origin: list[float] = []
 
     def take(iteration: int) -> None:
-        if not config.monitor:
-            return
         sample = monitor_sample(source)
         if not t_origin:
             t_origin.append(sample.t)
@@ -240,18 +215,15 @@ def run(
 
     wall_start = time.perf_counter()
     take(0)
-    completed = 0
     for step in range(1, config.steps + 1):
         rk3_step(
             store,
             plan,
-            scheme,
             dt,
             accumulators=accumulators,
             workers=config.workers,
             step=step,
         )
-        completed = step
         take(step)
         if (
             config.snapshot_every
@@ -271,12 +243,9 @@ def run(
     else:
         summary = {"runtime_s": wall}
     return RunResult(
-        config=config,
-        grid=grid,
         plan=plan,
         store=store,
         dt=dt,
         records=records,
         summary=summary,
-        steps_completed=completed,
     )

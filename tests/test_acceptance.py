@@ -28,10 +28,10 @@ from fdlab.grid import (
 from fdlab.plan import StoragePolicy, build_plan, dump_plan
 from fdlab.power import CounterFileSource, PowerSample, integrate_energy
 from fdlab.solver import (
-    RKScheme,
     RunConfig,
     compute_timestep,
     init_tgv,
+    rk3_scalar,
     rk3_step,
     run,
 )
@@ -110,13 +110,12 @@ def test_criterion_03_derivative_census(eqs, capsys):
 def test_criterion_04_cross_variant_equivalence(eqs, plans32, capsys):
     started = time.perf_counter()
     grid = Grid(32)
-    scheme = RKScheme()
     dt = compute_timestep(init_tgv(grid, PARAMS), PARAMS, 0.4)
     solutions = {}
     for variant in VARIANTS:
         store = init_tgv(grid, PARAMS)
         for step in range(1, 51):
-            rk3_step(store, plans32[variant], scheme, dt, step=step)
+            rk3_step(store, plans32[variant], dt, step=step)
         solutions[variant] = {
             name: store.interior(name).copy() for name in COMPONENT_NAMES
         }
@@ -181,9 +180,8 @@ def test_criterion_05_conservation(eqs, plans32, capsys):
     store = init_tgv(grid32, PARAMS)
     dt = compute_timestep(store, PARAMS, 0.4)
     initial = {name: grid_sum(store.interior(name)) for name in conserved}
-    scheme = RKScheme()
     for step in range(1, 101):
-        rk3_step(store, plans32["bl"], scheme, dt, step=step)
+        rk3_step(store, plans32["bl"], dt, step=step)
     mass_scale = abs(initial["rho"])
     worst_drift = 0.0
     for name in conserved:
@@ -239,14 +237,13 @@ def test_criterion_06_stencil_order(capsys):
 
 
 def test_criterion_07_rk3_order(capsys):
-    scheme = RKScheme()
-    one_step = scheme.advance_scalar(1.0, lambda y: -y, 0.1)
+    one_step = rk3_scalar(1.0, lambda y: -y, 0.1)
     step_ok = abs(one_step - 0.9048333333333333) <= 1e-12
 
     def integrate(dt):
         y = 1.0
         for _ in range(round(1.0 / dt)):
-            y = scheme.advance_scalar(y, lambda v: -v, dt)
+            y = rk3_scalar(y, lambda v: -v, dt)
         return y
 
     exact = math.exp(-1.0)
@@ -316,10 +313,10 @@ def test_criterion_09_energy_integration(tmp_path, capsys, monkeypatch):
     if totals != sorted(totals):
         failures.append(f"wrapped counter series decreased: {totals}")
 
-    # The monitor's cost is timed inside one monitored run, from entering
+    # The monitor's cost is timed inside one run, from entering
     # monitor_sample to the record reaching the sink: that span is all that
-    # monitor=True adds to take(). Differencing two whole runs with and
-    # without the monitor measured host drift of up to 20%, not the monitor.
+    # take() adds to a step. Differencing two whole runs with and without
+    # the monitor measured host drift of up to 20%, not the monitor.
     steps = 100
     sample = solver.monitor_sample
     entered = []
@@ -336,8 +333,7 @@ def test_criterion_09_energy_integration(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "monitor_sample", timed_sample)
     started = time.perf_counter()
-    run(RunConfig(n=16, steps=steps, policy="bl", monitor=True),
-        record_sink=timed_sink)
+    run(RunConfig(n=16, steps=steps, policy="bl"), record_sink=timed_sink)
     wall = time.perf_counter() - started
     monitor_s = timing["monitor_s"]
     if len(entered) != steps + 1 or timing["records"] != steps + 1:
@@ -418,9 +414,8 @@ def test_criterion_11_determinism(eqs, capsys):
     residual_sets = []
     for _ in range(2):
         store = init_tgv(grid, PARAMS)
-        scheme = RKScheme()
         for step in range(1, 4):
-            rk3_step(store, plan_a, scheme, 0.005, workers=2, step=step)
+            rk3_step(store, plan_a, 0.005, workers=2, step=step)
         residuals = execute_plan(plan_a, store, grid, workers=2)
         residual_sets.append(
             tuple(residuals[name].tobytes() for name in COMPONENT_NAMES)

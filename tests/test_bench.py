@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fdlab import bench
+from fdlab import bench, solver
 from fdlab.bench import (
     AggregateRow,
     BenchReport,
@@ -203,33 +203,38 @@ class TestValidateMode:
         for per_component in report.deviations.values():
             assert set(per_component.values()) == {0.0}
 
-    def test_perturbed_plan_fails(self):
+    def test_perturbed_plan_fails(self, monkeypatch):
         perturbed_eqs = build_equations(FlowParams(reynolds=800.0))
 
-        def crooked_factory(eqs, variant, h):
+        def crooked_build_plan(eqs, variant, h):
             if variant == "sn":
                 return build_plan(perturbed_eqs, variant, h)
             return build_plan(eqs, variant, h)
 
-        report = validate_mode(
-            RunConfig(n=16, steps=2), plan_factory=crooked_factory
-        )
+        monkeypatch.setattr(solver, "build_plan", crooked_build_plan)
+        report = validate_mode(RunConfig(n=16, steps=2))
         assert not report.passed
         assert any("sn" in m for m in report.messages)
         assert max(report.deviations["sn"].values()) > report.tolerance
 
-    def test_failed_run_reports_context(self):
-        def explosive_factory(eqs, variant, h):
+    def test_failed_run_reports_context(self, monkeypatch):
+        def explosive_build_plan(eqs, variant, h):
             plan = build_plan(eqs, variant, h)
             if variant == "ra":
                 raise RuntimeError("synthetic failure")
             return plan
 
-        report = validate_mode(
-            RunConfig(n=16, steps=1), plan_factory=explosive_factory
-        )
+        monkeypatch.setattr(solver, "build_plan", explosive_build_plan)
+        report = validate_mode(RunConfig(n=16, steps=1))
         assert not report.passed
         assert any("ra" in m and "failed" in m for m in report.messages)
+
+    def test_writes_no_snapshots(self, tmp_path):
+        report = validate_mode(
+            RunConfig(n=16, steps=2, snapshot_every=1, out_dir=str(tmp_path))
+        )
+        assert report.passed
+        assert list(tmp_path.iterdir()) == []
 
 
 def _mini_report(variants=("bl", "sn"), repeats=2, with_energy=True):

@@ -152,6 +152,24 @@ class TestBenchmarks:
         assert summary[3] != ""
         assert summary[4] == "1"
 
+    # "none" is the default every other run here uses
+    @pytest.mark.parametrize("spec", ["null", ""])
+    def test_null_power_specs_leave_energy_empty(self, tmp_path, spec):
+        out = tmp_path / "results"
+        code = main(
+            [
+                "--variant", "bl",
+                "--grid", "16",
+                "--steps", "1",
+                "--repeats", "1",
+                "--power-source", spec,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        series = (out / "series_bl_rep1.csv").read_text().splitlines()
+        assert [row.split(",")[2:] for row in series[1:]] == [["", ""]] * 2
+
     def test_non_baseline_variant_runs_without_speedup(self, tmp_path):
         out = tmp_path / "results"
         code = main(

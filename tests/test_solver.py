@@ -14,12 +14,10 @@ from fdlab.grid import FieldStore, Grid, grid_sum, integral_diagnostics, read_sn
 from fdlab.plan import StoragePolicy, build_plan
 from fdlab.power import MockSource
 from fdlab.solver import (
-    RK_A,
-    RK_B,
-    RKScheme,
     RunConfig,
     compute_timestep,
     init_tgv,
+    rk3_scalar,
     rk3_step,
     run,
 )
@@ -49,30 +47,15 @@ def eqs():
 
 
 class TestRKScheme:
-    def test_default_coefficients(self):
-        scheme = RKScheme()
-        assert scheme.a == RK_A
-        assert scheme.b == RK_B
-        assert scheme.stages == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="3 stages"):
-            RKScheme(a=(0.0, 1.0), b=(0.5, 0.5))
-        with pytest.raises(ValueError, match="first stage"):
-            RKScheme(a=(1.0, 0.0, 0.0), b=RK_B)
-
     def test_one_step_exponential_decay(self):
-        scheme = RKScheme()
-        y = scheme.advance_scalar(1.0, lambda v: -v, 0.1)
+        y = rk3_scalar(1.0, lambda v: -v, 0.1)
         assert abs(y - 0.9048333333333333) < 1e-15
 
     def test_third_order_convergence(self):
-        scheme = RKScheme()
-
         def integrate(dt):
             y = 1.0
             for _ in range(round(1.0 / dt)):
-                y = scheme.advance_scalar(y, lambda v: -v, dt)
+                y = rk3_scalar(y, lambda v: -v, dt)
             return y
 
         exact = math.exp(-1.0)
@@ -175,7 +158,7 @@ class TestRK3Step:
             }
 
         monkeypatch.setattr(sv, "execute_plan", zero_residuals)
-        rk3_step(store, plan, RKScheme(), dt=0.01)
+        rk3_step(store, plan, dt=0.01)
         assert _solution_bytes(store) == before
 
     def test_uniform_state_barely_drifts(self, eqs):
@@ -188,7 +171,7 @@ class TestRK3Step:
             name: store.interior(name).copy() for name in COMPONENT_NAMES
         }
         for step in range(1, 4):
-            rk3_step(store, plan, RKScheme(), dt=1e-3, step=step)
+            rk3_step(store, plan, dt=1e-3, step=step)
         for name, initial in reference.items():
             scale = max(np.abs(initial).max(), 1.0)
             drift = np.abs(store.interior(name) - initial).max()
@@ -198,7 +181,7 @@ class TestRK3Step:
         grid = Grid(8)
         plan = build_plan(eqs, "bl", grid.h)
         with pytest.raises(ValueError, match="dt"):
-            rk3_step(_uniform_store(grid), plan, RKScheme(), dt=0.0)
+            rk3_step(_uniform_store(grid), plan, dt=0.0)
 
     def test_deterministic_across_reruns(self, eqs):
         grid = Grid(16)
@@ -208,7 +191,7 @@ class TestRK3Step:
         for _ in range(2):
             store = init_tgv(grid, PARAMS)
             for step in range(1, 6):
-                rk3_step(store, plan, RKScheme(), dt=dt, step=step)
+                rk3_step(store, plan, dt=dt, step=step)
             outcomes.append(_solution_bytes(store))
         assert outcomes[0] == outcomes[1]
 
@@ -222,7 +205,7 @@ class TestRK3Step:
             for name in ("rho", "rhou0", "rhou1", "rhou2")
         }
         for step in range(1, 21):
-            rk3_step(store, plan, RKScheme(), dt=dt, step=step)
+            rk3_step(store, plan, dt=dt, step=step)
         mass_scale = abs(initial["rho"])
         for name, start in initial.items():
             drift = abs(grid_sum(store.interior(name)) - start)
@@ -246,7 +229,7 @@ class TestRK3Step:
         for backend in backends():
             store = init_tgv(grid, PARAMS)
             calls.clear()
-            rk3_step(store, plan, RKScheme(), dt=1e-3, step=1)
+            rk3_step(store, plan, dt=1e-3, step=1)
             assert len(calls) == expected, backend
 
     def test_variants_agree_after_steps(self, eqs):
@@ -257,7 +240,7 @@ class TestRK3Step:
             store = init_tgv(grid, PARAMS)
             plan = build_plan(eqs, variant, grid.h)
             for step in range(1, 4):
-                rk3_step(store, plan, RKScheme(), dt=dt, step=step)
+                rk3_step(store, plan, dt=dt, step=step)
             stores[variant] = store
         baseline = stores["bl"]
         scale = max(
@@ -274,7 +257,6 @@ class TestRK3Step:
 class TestRun:
     def test_zero_steps_records_once_and_leaves_state_alone(self):
         result = run(RunConfig(n=16, steps=0, policy="bl"))
-        assert result.steps_completed == 0
         assert len(result.records) == 1
         assert result.records[0].iteration == 0
         assert "runtime_s" in result.summary
@@ -283,7 +265,6 @@ class TestRun:
 
     def test_null_source_run(self):
         result = run(RunConfig(n=16, steps=3, policy="sn"))
-        assert result.steps_completed == 3
         assert [r.iteration for r in result.records] == [0, 1, 2, 3]
         assert all(r.power is None for r in result.records)
         assert all(r.cumulative_energy is None for r in result.records)
@@ -332,11 +313,6 @@ class TestRun:
         assert set(fields) == set(COMPONENT_NAMES)
         np.testing.assert_array_equal(fields["rho"], result.store.interior("rho"))
 
-    def test_monitor_disabled(self):
-        result = run(RunConfig(n=16, steps=2, policy="bl", monitor=False))
-        assert result.records == []
-        assert set(result.summary) == {"runtime_s"}
-
     def test_worker_count_does_not_change_results(self):
         single = run(RunConfig(n=16, steps=2, policy="sn", workers=1))
         threaded = run(RunConfig(n=16, steps=2, policy="sn", workers=2))
@@ -355,7 +331,7 @@ class TestKineticEnergyDecay:
         dt = compute_timestep(store, PARAMS, 0.4)
         energies = [integral_diagnostics(store)["kinetic_energy"]]
         for step in range(1, 101):
-            rk3_step(store, plan, RKScheme(), dt=dt, step=step)
+            rk3_step(store, plan, dt=dt, step=step)
             energies.append(integral_diagnostics(store)["kinetic_energy"])
         slack = 1e-12 * energies[0]
         drops = [b <= a + slack for a, b in zip(energies, energies[1:])]
