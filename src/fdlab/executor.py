@@ -30,8 +30,8 @@ from . import expr as ex
 from .equations import PRIMITIVE_ARRAYS
 from .errors import GridError, NumericalBlowupError, StateError
 from .expr import COMPONENT_NAMES, ZERO_OFFSET
-from .grid import HALO, FieldStore, Grid
-from .plan import KernelPlan, RESIDUAL_TARGETS
+from .grid import HALO, FieldStore
+from .plan import KernelPlan
 
 # Slab footprint target. 512 KiB keeps the working set of a statement's
 # temporaries inside L2 on common cores; measured fastest for the stored
@@ -120,11 +120,14 @@ def _first_bad_point(mask: np.ndarray) -> tuple[int, int, int]:
     return tuple(int(v) for v in index)
 
 
-def _at_step(step) -> str:
-    return f" (step {step})" if step is not None else ""
+def _where(step, stage) -> str:
+    labels = [f"step {step}"] if step is not None else []
+    if stage is not None:
+        labels.append(f"stage {stage}")
+    return f" ({', '.join(labels)})" if labels else ""
 
 
-def check_positive(values: np.ndarray, quantity: str, step) -> None:
+def check_positive(values: np.ndarray, quantity: str, step, stage=None) -> None:
     """Raise StateError naming the first interior point where `values`
     is not positive (NaN included)."""
     bad = ~(values > 0)
@@ -132,19 +135,19 @@ def check_positive(values: np.ndarray, quantity: str, step) -> None:
         point = _first_bad_point(bad)
         raise StateError(
             f"non-positive {quantity} {values[point]!r} at interior point {point}"
-            + _at_step(step)
+            + _where(step, stage)
         )
 
 
-def _check_residuals(store: FieldStore, step) -> None:
-    for component in RESIDUAL_TARGETS:
+def _check_residuals(store: FieldStore, step, stage) -> None:
+    for component in COMPONENT_NAMES:
         field = store.residual(component)
         finite = np.isfinite(field)
         if not finite.all():
             point = _first_bad_point(~finite)
             raise NumericalBlowupError(
                 f"non-finite residual for {component} at interior point {point}"
-                + _at_step(step)
+                + _where(step, stage)
             )
 
 
@@ -186,9 +189,9 @@ def _numpy_phases(plan: KernelPlan, arrays, n: int) -> list:
 def execute_plan(
     plan: KernelPlan,
     store: FieldStore,
-    grid: Grid,
     workers: int = 1,
     step: int | None = None,
+    stage: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Run the plan's three phases and return the residual fields.
 
@@ -201,16 +204,19 @@ def execute_plan(
     finds: it exchanges the solution on entry, the primitives after the
     primitive phase, and each of ``plan.exchanged_arrays`` right after
     the work statement that writes it.
+
+    It also tests the state it reads: density on entry, pressure after
+    the primitive phase and finite residuals at the end. `step` and
+    `stage` only label the messages of those errors.
     """
+    grid = store.grid
     n = grid.n
-    if store.grid.n != n:
-        raise GridError(f"store holds n={store.grid.n} fields, grid has n={n}")
     if not math.isclose(plan.h, grid.h, rel_tol=1e-12, abs_tol=0.0):
         raise GridError(f"plan spacing {plan.h} does not match grid spacing {grid.h}")
     store.ensure_work(plan.work_array_names())
     for name in COMPONENT_NAMES:
         store.exchange(name)
-    check_positive(store.interior("rho"), "density", step)
+    check_positive(store.interior("rho"), "density", step, stage)
 
     kernel = cbackend.KERNELS.lookup(plan, n)
     arrays = {name: store.full(name) for name in store.names()}
@@ -235,7 +241,7 @@ def execute_plan(
 
     try:
         launch(primitive)
-        check_positive(store.interior("p"), "pressure", step)
+        check_positive(store.interior("p"), "pressure", step, stage)
         for name in PRIMITIVE_ARRAYS:
             store.exchange(name)
         for stmt, phase in zip(plan.work_phase, work):
@@ -247,8 +253,8 @@ def execute_plan(
         if pool is not None:
             pool.shutdown()
 
-    _check_residuals(store, step)
-    return {component: store.residual(component) for component in RESIDUAL_TARGETS}
+    _check_residuals(store, step, stage)
+    return {component: store.residual(component) for component in COMPONENT_NAMES}
 
 
 def evaluate_expression(

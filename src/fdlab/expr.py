@@ -427,15 +427,6 @@ class OpCounts:
     def total(self) -> int:
         return self.adds + self.muls + self.divs + self.negs
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.adds + other.adds,
-            self.muls + other.muls,
-            self.divs + other.divs,
-            self.negs + other.negs,
-            self.pows + other.pows,
-        )
-
 
 def count_ops(expr: Expr) -> OpCounts:
     """Tally arithmetic operations in a fully discretized expression."""

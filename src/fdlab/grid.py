@@ -94,7 +94,6 @@ class FieldStore:
             self._allocate(name)
         for name in COMPONENT_NAMES:
             self._allocate("res_" + name)
-        self._work: tuple[str, ...] = ()
 
     def _allocate(self, name: str) -> None:
         self._arrays[name] = np.zeros(self.grid.padded_shape, order="F")
@@ -104,11 +103,6 @@ class FieldStore:
         for name in names:
             if name not in self._arrays:
                 self._allocate(name)
-        self._work = tuple(names)
-
-    @property
-    def work_names(self) -> tuple[str, ...]:
-        return self._work
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._arrays)

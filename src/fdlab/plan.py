@@ -27,8 +27,6 @@ from .errors import PlanError
 
 VELOCITY_ARRAYS = ("u0", "u1", "u2")
 
-RESIDUAL_TARGETS = ("rho", "rhou0", "rhou1", "rhou2", "rhoE")
-
 
 class StoragePolicy(Enum):
     """The six derivative-storage strategies."""
@@ -257,8 +255,8 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
         for entry in local_entries
     ]
     point += [
-        Statement("residual", RESIDUAL_TARGETS[c], _lower(eqset.residuals[c], storage, h))
-        for c in range(5)
+        Statement("residual", name, _lower(residual, storage, h))
+        for name, residual in zip(ex.COMPONENT_NAMES, eqset.residuals)
     ]
     point = tuple(point)
 

@@ -116,9 +116,9 @@ def compute_timestep(store: FieldStore, params: FlowParams, cfl: float) -> float
 
 
 def _check_thermo(store: FieldStore, step) -> None:
-    """Density and internal energy after a stage's update. The density
-    test repeats the one at the next execute_plan entry, but after a
-    run's last stage no such entry comes."""
+    """Density and internal energy of a run's final state. Every earlier
+    state is tested by the execute_plan call that reads it; after the
+    last stage no such call comes."""
     rho = store.interior("rho")
     check_positive(rho, "density", step)
     kinetic = np.zeros(store.grid.shape)
@@ -143,15 +143,14 @@ def rk3_step(
     """Advance the solution by one timestep in place.
 
     Only interiors are updated; the next ``execute_plan`` refreshes the
-    solution's halos.
+    solution's halos and tests the state each stage leaves.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = store.grid
     if accumulators is None:
-        accumulators = allocate_accumulators(grid)
-    for a_k, b_k in zip(RK_A, RK_B):
-        residuals = execute_plan(plan, store, grid, workers=workers, step=step)
+        accumulators = allocate_accumulators(store.grid)
+    for stage, (a_k, b_k) in enumerate(zip(RK_A, RK_B), start=1):
+        residuals = execute_plan(plan, store, workers=workers, step=step, stage=stage)
         for name in COMPONENT_NAMES:
             acc = accumulators[name]
             if a_k == 0.0:
@@ -161,7 +160,6 @@ def rk3_step(
                 np.add(acc, residuals[name], out=acc)
             solution = store.interior(name)
             np.add(solution, (b_k * dt) * acc, out=solution)
-        _check_thermo(store, step)
     return store
 
 
@@ -185,6 +183,12 @@ def run(
     iteration. Each record goes to `record_sink` as soon as it exists, so
     a failing run still leaves the completed iterations on disk when the
     sink writes through.
+
+    Each state is tested once, by the evaluation that reads it, so a bad
+    state made by the last stage of step s is reported as step s+1,
+    stage 1, after the record of step s exists. The final state, which
+    no evaluation reads, is tested after the loop and reported as the
+    last step.
     """
     grid = Grid(config.n)
     plan = build_plan(build_equations(config.params), config.policy, grid.h)
@@ -236,6 +240,8 @@ def run(
                 COMPONENT_NAMES,
                 step,
             )
+    if config.steps:
+        _check_thermo(store, config.steps)
     wall = time.perf_counter() - wall_start
 
     if len(records) >= 2:

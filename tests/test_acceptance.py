@@ -155,7 +155,7 @@ def test_criterion_05_conservation(eqs, plans32, capsys):
                 f"rhou{i}", 0.3 * rng.standard_normal(grid16.shape)
             )
         store.set_interior("rhoE", 2.5 + 0.3 * rng.random(grid16.shape))
-        residuals = execute_plan(plan16, store, grid16)
+        residuals = execute_plan(plan16, store)
         for name in conserved:
             total = abs(grid_sum(residuals[name]))
             scale = grid_sum(np.abs(residuals[name]))
@@ -167,7 +167,7 @@ def test_criterion_05_conservation(eqs, plans32, capsys):
     # residual grid sums on the vortex state
     grid32 = Grid(32)
     store = init_tgv(grid32, PARAMS)
-    residuals = execute_plan(plans32["bl"], store, grid32)
+    residuals = execute_plan(plans32["bl"], store)
     for name in conserved:
         total = abs(grid_sum(residuals[name]))
         scale = grid_sum(np.abs(residuals[name]))
@@ -416,7 +416,7 @@ def test_criterion_11_determinism(eqs, capsys):
         store = init_tgv(grid, PARAMS)
         for step in range(1, 4):
             rk3_step(store, plan_a, 0.005, workers=2, step=step)
-        residuals = execute_plan(plan_a, store, grid, workers=2)
+        residuals = execute_plan(plan_a, store, workers=2)
         residual_sets.append(
             tuple(residuals[name].tobytes() for name in COMPONENT_NAMES)
         )
@@ -437,11 +437,11 @@ def test_criterion_12_informational_large_grid_speedup(eqs, capsys):
         for variant in ("bl", "ra", "sn", "sn2"):
             plan = build_plan(eqs, variant, grid.h)
             store = init_tgv(grid, PARAMS)
-            execute_plan(plan, store, grid)  # warm
+            execute_plan(plan, store)  # warm
             best = math.inf
             for _ in range(2):
                 started = time.perf_counter()
-                execute_plan(plan, store, grid)
+                execute_plan(plan, store)
                 best = min(best, time.perf_counter() - started)
             timings[variant] = best
             del store

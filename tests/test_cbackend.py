@@ -12,7 +12,7 @@ from fdlab import executor as exe
 from fdlab.equations import FlowParams, build_equations
 from fdlab.grid import FieldStore, Grid
 from fdlab import expr as ex
-from fdlab.plan import RESIDUAL_TARGETS, Statement, build_plan
+from fdlab.plan import Statement, build_plan
 from fdlab.solver import RunConfig, run
 
 VARIANTS = ("bl", "rs", "ss", "ra", "sn", "sn2")
@@ -41,8 +41,8 @@ def _random_store(grid, seed):
 
 def _residual_bytes(plan, grid, workers):
     store = _random_store(grid, seed=17)
-    residuals = exe.execute_plan(plan, store, grid, workers=workers)
-    return {c: residuals[c].tobytes() for c in RESIDUAL_TARGETS}
+    residuals = exe.execute_plan(plan, store, workers=workers)
+    return {c: residuals[c].tobytes() for c in ex.COMPONENT_NAMES}
 
 
 def _count_compiles(monkeypatch):
@@ -70,7 +70,7 @@ def test_residuals_byte_equal_numpy(eqset, monkeypatch, tmp_path, variant, n):
     reference = _residual_bytes(plan, grid, 1)
     assert cbackend.KERNELS.lookup(plan, n).backend == "numpy"
     for workers, got in compiled.items():
-        for component in RESIDUAL_TARGETS:
+        for component in ex.COMPONENT_NAMES:
             assert got[component] == reference[component], (workers, component)
 
 

@@ -78,7 +78,7 @@ class TestUniformState:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_residuals_vanish(self, plans8, grid8, params, variant):
         store = _uniform_store(grid8, params)
-        residuals = exe.execute_plan(plans8[variant], store, grid8)
+        residuals = exe.execute_plan(plans8[variant], store)
         for component, field in residuals.items():
             assert float(np.abs(field).max()) <= 1e-13, component
 
@@ -87,8 +87,8 @@ class TestPointwiseOracle:
     @pytest.mark.parametrize("variant", ["bl", "ra"])
     def test_matches_scalar_evaluation(self, plans8, grid8, eqset, variant):
         store = _random_store(grid8, seed=5)
-        exe.execute_plan(plans8[variant], store, grid8)
-        for component, residual in zip(pl.RESIDUAL_TARGETS, eqset.residuals):
+        exe.execute_plan(plans8[variant], store)
+        for component, residual in zip(ex.COMPONENT_NAMES, eqset.residuals):
             lowered = st.discretize(residual, grid8.h)
             for point in [(0, 0, 0), (3, 6, 1), (7, 7, 7)]:
                 want = ex.evaluate(lowered, _StoreBindings(store, point))
@@ -101,13 +101,13 @@ class TestCrossVariant:
         store = _random_store(grid8, seed=9)
         base = {
             c: np.array(v)
-            for c, v in exe.execute_plan(plans8["bl"], store, grid8).items()
+            for c, v in exe.execute_plan(plans8["bl"], store).items()
         }
         scale = max(float(np.abs(v).max()) for v in base.values())
         for variant in VARIANTS[1:]:
-            got = exe.execute_plan(plans8[variant], store, grid8)
+            got = exe.execute_plan(plans8[variant], store)
             worst = max(
-                float(np.abs(got[c] - base[c]).max()) for c in pl.RESIDUAL_TARGETS
+                float(np.abs(got[c] - base[c]).max()) for c in ex.COMPONENT_NAMES
             )
             assert worst <= 1e-10 * scale, variant
 
@@ -116,8 +116,8 @@ class TestConservation:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mass_and_momentum_sums_vanish(self, plans8, grid8, eqset, seed):
         store = _random_store(grid8, seed=seed)
-        residuals = exe.execute_plan(plans8["bl"], store, grid8)
-        for component, residual in list(zip(pl.RESIDUAL_TARGETS, eqset.residuals))[:4]:
+        residuals = exe.execute_plan(plans8["bl"], store)
+        for component, residual in list(zip(ex.COMPONENT_NAMES, eqset.residuals))[:4]:
             scale = 0.0
             for piece in eq.split_terms(residual):
                 field = exe.evaluate_expression(st.discretize(piece, grid8.h), store)
@@ -131,9 +131,9 @@ class TestDeterminism:
         first = {}
         for attempt in range(2):
             store = _random_store(grid8, seed=21)
-            residuals = exe.execute_plan(plans8["sn"], store, grid8)
+            residuals = exe.execute_plan(plans8["sn"], store)
             blob = b"".join(
-                residuals[c].tobytes() for c in pl.RESIDUAL_TARGETS
+                residuals[c].tobytes() for c in ex.COMPONENT_NAMES
             )
             if attempt == 0:
                 first["blob"] = blob
@@ -146,7 +146,7 @@ class TestDeterminism:
         store = _random_store(grid8, seed=33)
         base = {
             c: np.array(v)
-            for c, v in exe.execute_plan(plans8["bl"], store, grid8).items()
+            for c, v in exe.execute_plan(plans8["bl"], store).items()
         }
         # shrink numpy slabs to 2 planes, then run with several workers
         monkeypatch.setattr(exe, "_SLAB_BYTES", 2 * 8 * 8 * 8)
@@ -155,8 +155,8 @@ class TestDeterminism:
             kernel = cbackend.KERNELS.lookup(plans8["bl"], grid8.n)
             assert kernel.backend == backend, kernel.reason
             for workers in (1, 3):
-                got = exe.execute_plan(plans8["bl"], store, grid8, workers=workers)
-                for c in pl.RESIDUAL_TARGETS:
+                got = exe.execute_plan(plans8["bl"], store, workers=workers)
+                for c in ex.COMPONENT_NAMES:
                     assert got[c].tobytes() == base[c].tobytes(), (backend, workers, c)
 
 
@@ -166,17 +166,17 @@ class TestHalos:
         # execute_plan must trust no halo it finds, even after an earlier
         # call on the same store left them all current
         plan = plans8[variant]
-        fresh = exe.execute_plan(plan, _random_store(grid8, seed=13), grid8)
-        want = {c: fresh[c].tobytes() for c in pl.RESIDUAL_TARGETS}
+        fresh = exe.execute_plan(plan, _random_store(grid8, seed=13))
+        want = {c: fresh[c].tobytes() for c in ex.COMPONENT_NAMES}
         for backend in backends():
             store = _random_store(grid8, seed=13)
-            exe.execute_plan(plan, store, grid8)
+            exe.execute_plan(plan, store)
             for name in store.names():
                 interior = store.interior(name).copy()
                 store.full(name)[...] = np.nan
                 store.interior(name)[...] = interior
-            got = exe.execute_plan(plan, store, grid8)
-            for c in pl.RESIDUAL_TARGETS:
+            got = exe.execute_plan(plan, store)
+            for c in ex.COMPONENT_NAMES:
                 assert got[c].tobytes() == want[c], (backend, c)
 
 
@@ -184,23 +184,22 @@ class TestAllocation:
     def test_baseline_allocates_all_work_arrays(self, plans8, grid8, params):
         store = _uniform_store(grid8, params)
         before = len(store.names())
-        exe.execute_plan(plans8["bl"], store, grid8)
-        assert len(store.work_names) == 63
+        exe.execute_plan(plans8["bl"], store)
         assert len(store.names()) == before + 63
 
     def test_inline_variants_allocate_none(self, plans8, grid8, params):
         for variant in ("ra", "sn", "sn2"):
             store = _uniform_store(grid8, params)
             before = len(store.names())
-            exe.execute_plan(plans8[variant], store, grid8)
-            assert store.work_names == ()
+            exe.execute_plan(plans8[variant], store)
             assert len(store.names()) == before
 
     def test_gradient_variants_allocate_nine(self, plans8, grid8, params):
         for variant in ("rs", "ss"):
             store = _uniform_store(grid8, params)
-            exe.execute_plan(plans8[variant], store, grid8)
-            assert len(store.work_names) == 9
+            before = len(store.names())
+            exe.execute_plan(plans8[variant], store)
+            assert len(store.names()) == before + 9
 
 
 class TestErrors:
@@ -213,14 +212,14 @@ class TestErrors:
             values[2, 3, 4] = -1.0
             store.set_interior("rho", values)
             with pytest.raises(StateError, match=r"density.*\(2, 3, 4\)"):
-                exe.execute_plan(plans8["bl"], store, grid8)
+                exe.execute_plan(plans8["bl"], store)
 
     def test_negative_pressure(self, plans8, grid8, params, backends):
         for backend in backends():
             store = _uniform_store(grid8, params)
             store.set_interior("rhoE", 1e-6)
             with pytest.raises(StateError, match="pressure"):
-                exe.execute_plan(plans8["bl"], store, grid8)
+                exe.execute_plan(plans8["bl"], store)
 
     def test_overflow_reports_blowup_with_step(self, plans8, grid8, backends):
         for backend in backends():
@@ -229,7 +228,7 @@ class TestErrors:
             store.set_interior("rhou0", 1e150)
             store.set_interior("rhoE", 1e301)
             with pytest.raises(NumericalBlowupError, match=r"step 7"):
-                exe.execute_plan(plans8["bl"], store, grid8, step=7)
+                exe.execute_plan(plans8["bl"], store, step=7)
 
     def test_spacing_mismatch(self, eqset, grid8, backends):
         other = pl.build_plan(eqset, "bl", Grid(16).h)
@@ -238,13 +237,13 @@ class TestErrors:
             store.set_interior("rho", 1.0)
             store.set_interior("rhoE", 2.0)
             with pytest.raises(GridError, match="spacing"):
-                exe.execute_plan(other, store, grid8)
+                exe.execute_plan(other, store)
 
-    def test_store_grid_mismatch(self, plans8, grid8, backends):
+    def test_store_grid_mismatch(self, plans8, backends):
         for backend in backends():
             store = FieldStore(Grid(16))
-            with pytest.raises(GridError, match="n="):
-                exe.execute_plan(plans8["bl"], store, grid8)
+            with pytest.raises(GridError, match="spacing"):
+                exe.execute_plan(plans8["bl"], store)
 
 
 class TestEvaluateExpression:

@@ -103,13 +103,12 @@ class TestFieldStore:
         for name in ("rho", "rhou0", "rhoE", "u0", "p", "T", "res_rho"):
             assert name in names
         assert len(names) == 15
-        assert store.work_names == ()
 
     def test_work_allocation_idempotent(self):
         store = FieldStore(Grid(8))
         store.ensure_work(("d_a", "d_b"))
         store.ensure_work(("d_a", "d_b"))
-        assert store.work_names == ("d_a", "d_b")
+        assert store.names()[-2:] == ("d_a", "d_b")
         assert len(store.names()) == 17
         assert store.full("d_a").shape == (16, 16, 16)
 

@@ -56,7 +56,7 @@ class TestCounters:
             c = p.counters
             assert c.locals + c.extra_arrays <= 63 + 9
             residuals = [s for s in p.point_phase if s.kind == "residual"]
-            assert [s.target for s in residuals] == list(pl.RESIDUAL_TARGETS)
+            assert [s.target for s in residuals] == list(ex.COMPONENT_NAMES)
 
     def test_timestep_scaling(self, plans):
         c = pl.plan_counters(plans["bl"], 64)
@@ -252,7 +252,7 @@ class TestSemanticEquivalence:
         points = [(0, 0, 0), (3, 5, 1), (7, 2, 6)]
         for v in VARIANTS[1:]:
             inlined = _inline_residuals(plans[v])
-            for target in pl.RESIDUAL_TARGETS:
+            for target in ex.COMPONENT_NAMES:
                 for point in points:
                     b = GridBindings(point, n, sol, arr)
                     want = ex.evaluate(baseline[target], b)

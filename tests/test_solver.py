@@ -151,9 +151,9 @@ class TestRK3Step:
         plan = build_plan(eqs, "bl", grid.h)
         before = _solution_bytes(store)
 
-        def zero_residuals(plan, store, grid, workers=1, step=None):
+        def zero_residuals(plan, store, workers=1, step=None, stage=None):
             return {
-                name: np.zeros(grid.shape, order="F")
+                name: np.zeros(store.grid.shape, order="F")
                 for name in COMPONENT_NAMES
             }
 
@@ -297,6 +297,43 @@ class TestRun:
             run(config, record_sink=sink.append)
         assert len(sink) >= 1
         assert sink[0].iteration == 0
+
+    def test_bad_stage_state_names_step_and_stage(self, monkeypatch):
+        # the state stage 1 leaves is first read by stage 2's evaluation
+        calls = []
+        original = sv.execute_plan
+
+        def poisoning(plan, store, *args, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 2:
+                rho = np.array(store.interior("rho"))
+                rho[3, 4, 5] = -1.0
+                store.set_interior("rho", rho)
+            return original(plan, store, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "execute_plan", poisoning)
+        with pytest.raises(
+            StateError, match=r"density .* \(3, 4, 5\) \(step 1, stage 2\)"
+        ):
+            run(RunConfig(n=16, steps=2, policy="sn"))
+        assert len(calls) == 2
+
+    def test_final_state_is_tested_once_after_the_loop(self, monkeypatch):
+        original = sv.rk3_step
+
+        def poisoning(store, plan, dt, **kwargs):
+            original(store, plan, dt, **kwargs)
+            if kwargs["step"] == 2:
+                rho = np.array(store.interior("rho"))
+                rho[3, 4, 5] = -1.0
+                store.set_interior("rho", rho)
+            return store
+
+        monkeypatch.setattr(sv, "rk3_step", poisoning)
+        sink = []
+        with pytest.raises(StateError, match=r"density .* \(3, 4, 5\) \(step 2\)"):
+            run(RunConfig(n=16, steps=2, policy="sn"), record_sink=sink.append)
+        assert [r.iteration for r in sink] == [0, 1, 2]
 
     def test_snapshots_written_at_interval(self, tmp_path):
         config = RunConfig(
