@@ -36,15 +36,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .plan import (
-    KernelPlan,
-    StoragePolicy,
-    TimestepCounters,
-    build_plan,
-    dump_plan,
-    parse_dump,
-    plan_counters,
-)
+from .plan import KernelPlan, PlanCounters, StoragePolicy, build_plan, dump_plan
 from .power import (
     CommandSource,
     CounterFileSource,
@@ -82,6 +74,7 @@ __all__ = [
     "MockSource",
     "NullSource",
     "NumericalBlowupError",
+    "PlanCounters",
     "PlanError",
     "PowerError",
     "PowerSample",
@@ -91,7 +84,6 @@ __all__ = [
     "RunResult",
     "StateError",
     "StoragePolicy",
-    "TimestepCounters",
     "VARIANT_ORDER",
     "aggregate",
     "build_equations",
@@ -110,9 +102,7 @@ __all__ = [
     "integral_diagnostics",
     "integrate_energy",
     "monitor_sample",
-    "parse_dump",
     "parse_power_spec",
-    "plan_counters",
     "read_snapshot",
     "rk3_step",
     "run",

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, cbackend
 from .errors import ReportError
 from .expr import COMPONENT_NAMES
-from .plan import StoragePolicy, plan_counters
+from .plan import StoragePolicy
 from .power import IterationRecord
 from .solver import RunConfig, run
 
@@ -208,9 +208,11 @@ def run_matrix(
                 )
             )
             report.series[(variant, repeat)] = list(result.records)
-        report.counters[variant] = asdict(
-            plan_counters(result.plan, config.n)
-        )
+        counters = result.plan.counters
+        report.counters[variant] = {
+            **asdict(counters),
+            "ops_per_timestep": counters.ops_per_timestep(config.n),
+        }
         plans.append((result.plan, config.n))
     report.backend = cbackend.KERNELS.describe(plans)
     report.rows.sort(key=lambda r: (_variant_rank(r.variant), r.repeat))

@@ -3,8 +3,8 @@
 Builds the five right-hand sides (mass, three momenta, energy) over the
 expression IR, together with the primitive-variable definitions and the
 census of distinct spatial derivatives they contain. Construction is
-purely symbolic; storage decisions and discretization live in the plan
-layer.
+purely symbolic; storage decisions live in the plan layer and
+discretization in ``stencils``.
 
 Terms are laid down exactly as the governing equations state them, with
 Einstein sums expanded and Kronecker deltas resolved at build time. No
@@ -66,12 +66,19 @@ class FlowParams:
 
 
 @dataclass(frozen=True)
-class PrimitiveDef:
-    """One primitive-phase assignment: a local or a global array."""
+class Statement:
+    """One assignment: kind is 'local', 'array', or 'residual'."""
 
+    kind: str
     target: str
     expr: ex.Expr
-    store: str  # "local" or "array"
+
+    @property
+    def array(self) -> str | None:
+        """The padded array the statement stores to; None for a local."""
+        if self.kind == "local":
+            return None
+        return "res_" + self.target if self.kind == "residual" else self.target
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ class EquationSet:
     """Primitive definitions, five residuals, and the derivative census."""
 
     params: FlowParams
-    primitives: tuple[PrimitiveDef, ...]
+    primitives: tuple[Statement, ...]
     residuals: tuple[ex.Expr, ...]
     derivatives: tuple[DerivativeEntry, ...] = field(repr=False)
 
@@ -101,7 +108,7 @@ _P = ex.array("p")
 _T = ex.array("T")
 
 
-def build_primitives(params: FlowParams) -> list[PrimitiveDef]:
+def build_primitives(params: FlowParams) -> list[Statement]:
     """Primitive-phase assignments: rinv, u0, u1, u2, p, T in order.
 
     The density division happens once per point into the rinv local;
@@ -116,12 +123,12 @@ def build_primitives(params: FlowParams) -> list[PrimitiveDef]:
         ex.add(_RHOE, ex.neg(ex.mul(ex.rational(1, 2), _RHO, kinetic))),
     )
     temperature = ex.mul(ex.const(params.gamma_mach_sq), _P, rinv)
-    defs = [PrimitiveDef(RECIPROCAL_DENSITY, ex.div(1, _RHO), "local")]
+    defs = [Statement("local", RECIPROCAL_DENSITY, ex.div(1, _RHO))]
     defs += [
-        PrimitiveDef(f"u{i}", ex.mul(_RHOU[i], rinv), "array") for i in range(3)
+        Statement("array", f"u{i}", ex.mul(_RHOU[i], rinv)) for i in range(3)
     ]
-    defs.append(PrimitiveDef("p", pressure, "array"))
-    defs.append(PrimitiveDef("T", temperature, "array"))
+    defs.append(Statement("array", "p", pressure))
+    defs.append(Statement("array", "T", temperature))
     return defs
 
 

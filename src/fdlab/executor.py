@@ -133,8 +133,9 @@ def check_positive(values: np.ndarray, quantity: str, step, stage=None) -> None:
     bad = ~(values > 0)
     if bad.any():
         point = _first_bad_point(bad)
+        value = float(values[point])
         raise StateError(
-            f"non-positive {quantity} {values[point]!r} at interior point {point}"
+            f"non-positive {quantity} {value!r} at interior point {point}"
             + _where(step, stage)
         )
 

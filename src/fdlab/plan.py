@@ -4,7 +4,10 @@ A plan fixes, for every distinct derivative, whether its value lives in
 a global work array, in a per-point local, or is re-expanded inline at
 each textual use. That single decision is what separates the six
 variants; the primitive phase and the residual arithmetic around the
-derivatives are identical everywhere.
+derivatives are identical everywhere. The policy states it as a map
+from census nodes to leaves, and the stencil expansion itself is
+``stencils.discretize`` under that map; this module only orders the
+resulting statements into phases and counts them.
 
 Operation counting normalization: ``ops_per_point`` sums the arithmetic
 of every statement expression plus one operation per scalar local
@@ -22,7 +25,7 @@ from enum import Enum
 
 from . import expr as ex
 from . import stencils
-from .equations import EquationSet, PRIMITIVE_ARRAYS
+from .equations import EquationSet, PRIMITIVE_ARRAYS, Statement
 from .errors import PlanError
 
 VELOCITY_ARRAYS = ("u0", "u1", "u2")
@@ -40,28 +43,16 @@ class StoragePolicy(Enum):
 
 
 @dataclass(frozen=True)
-class Statement:
-    """One assignment: kind is 'local', 'array', or 'residual'."""
-
-    kind: str
-    target: str
-    expr: ex.Expr
-
-    @property
-    def array(self) -> str | None:
-        """The padded array the statement stores to; None for a local."""
-        if self.kind == "local":
-            return None
-        return "res_" + self.target if self.kind == "residual" else self.target
-
-
-@dataclass(frozen=True)
 class PlanCounters:
     extra_arrays: int
     locals: int
     ops_per_point: int
     global_reads_per_point: int
     global_writes_per_point: int
+
+    def ops_per_timestep(self, n: int) -> int:
+        """Operations of one three-stage timestep on an n^3 grid."""
+        return self.ops_per_point * n**3 * 3
 
 
 @dataclass(frozen=True)
@@ -90,74 +81,21 @@ def _coerce_policy(policy) -> StoragePolicy:
 
 
 def _storage_assignment(eqset: EquationSet, policy: StoragePolicy):
-    """Map each census derivative node to ('array'|'local', name) or None."""
-    storage: dict[ex.Derivative, tuple[str, str]] = {}
+    """Map each census derivative node to the leaf that holds its value:
+    ``ex.array(name)`` or ``ex.local(name)``; unstored nodes are absent."""
+    storage: dict[ex.Derivative, ex.Expr] = {}
     for entry in eqset.derivatives:
         if policy is StoragePolicy.BL:
-            storage[entry.node] = ("array", entry.name)
+            storage[entry.node] = ex.array(entry.name)
         elif policy in (StoragePolicy.RS, StoragePolicy.SS):
             if entry.is_velocity_gradient:
-                storage[entry.node] = ("array", entry.name)
+                storage[entry.node] = ex.array(entry.name)
             elif policy is StoragePolicy.SS:
-                storage[entry.node] = ("local", entry.name)
+                storage[entry.node] = ex.local(entry.name)
         elif policy in (StoragePolicy.SN, StoragePolicy.SN2):
-            storage[entry.node] = ("local", entry.name)
+            storage[entry.node] = ex.local(entry.name)
         # RA stores nothing
     return storage
-
-
-def _expand_derivative(node: ex.Derivative, storage, h: float) -> ex.Expr:
-    """Discretize one derivative, chaining through stored inner values.
-
-    The inner member of a mixed or sequenced pair is read from its work
-    array when the policy stores it as one (a plain stencil over that
-    array). Locals cannot be read at neighbor points, so a local or
-    unstored inner is re-expanded in place.
-    """
-    first = stencils.first_derivative_stencil()
-    axes = node.axes
-    if len(axes) == 2:
-        if axes[0] == axes[1]:
-            return stencils.apply_stencil(
-                stencils.second_derivative_stencil(), node.operand, axes[0], h
-            )
-        inner = ex.Derivative(node.operand, (axes[1],))
-        return stencils.apply_stencil(
-            first, _resolve_operand(inner, storage, h), axes[0], h
-        )
-    operand = node.operand
-    if isinstance(operand, ex.Derivative):
-        operand = _resolve_operand(operand, storage, h)
-    return stencils.apply_stencil(first, operand, axes[0], h)
-
-
-def _resolve_operand(inner: ex.Derivative, storage, h: float) -> ex.Expr:
-    slot = storage.get(inner)
-    if slot and slot[0] == "array":
-        return ex.array(slot[1])
-    return _expand_derivative(inner, storage, h)
-
-
-def _lower(node: ex.Expr, storage, h: float) -> ex.Expr:
-    if isinstance(node, ex.Derivative):
-        slot = storage.get(node)
-        if slot:
-            kind, name = slot
-            return ex.array(name) if kind == "array" else ex.local(name)
-        return _expand_derivative(node, storage, h)
-    if isinstance(node, ex.Neg):
-        return ex.neg(_lower(node.child, storage, h))
-    if isinstance(node, ex.Add):
-        return ex.add(*(_lower(c, storage, h) for c in node.children))
-    if isinstance(node, ex.Mul):
-        return ex.mul(*(_lower(c, storage, h) for c in node.children))
-    if isinstance(node, ex.Div):
-        return ex.div(
-            _lower(node.numerator, storage, h), _lower(node.denominator, storage, h)
-        )
-    if isinstance(node, ex.IntPow):
-        return ex.intpow(_lower(node.base, storage, h), node.exponent)
-    return node
 
 
 def _velocity_group(entry) -> int:
@@ -229,71 +167,43 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
     if sum(d.is_velocity_gradient for d in eqset.derivatives) != 9:
         raise PlanError("expected 9 velocity-gradient members in the census")
 
-    storage = _storage_assignment(eqset, policy)
-
-    primitive = tuple(
-        Statement("local" if d.store == "local" else "array", d.target, d.expr)
-        for d in eqset.primitives
-    )
+    stored = _storage_assignment(eqset, policy)
 
     work = tuple(
-        Statement("array", entry.name, _expand_derivative(entry.node, storage, h))
+        Statement("array", entry.name, stencils.expand(entry.node, h, stored))
         for entry in eqset.derivatives
-        if storage.get(entry.node, ("", ""))[0] == "array"
+        if isinstance(stored.get(entry.node), ex.WorkRef)
     )
 
     local_entries = [
         entry
         for entry in eqset.derivatives
-        if storage.get(entry.node, ("", ""))[0] == "local"
+        if isinstance(stored.get(entry.node), ex.LocalRef)
     ]
     if policy is StoragePolicy.SN2:
         local_entries.sort(key=_velocity_group)
 
     point = [
-        Statement("local", entry.name, _expand_derivative(entry.node, storage, h))
+        Statement("local", entry.name, stencils.expand(entry.node, h, stored))
         for entry in local_entries
     ]
     point += [
-        Statement("residual", name, _lower(residual, storage, h))
+        Statement("residual", name, stencils.discretize(residual, h, stored))
         for name, residual in zip(ex.COMPONENT_NAMES, eqset.residuals)
     ]
     point = tuple(point)
 
     _validate(point, {s.target for s in work})
-    counters, exchanged = _count_plan(primitive, work, point)
+    counters, exchanged = _count_plan(eqset.primitives, work, point)
 
     return KernelPlan(
         policy=policy,
         h=h,
-        primitive_phase=primitive,
+        primitive_phase=eqset.primitives,
         work_phase=work,
         point_phase=point,
         counters=counters,
         exchanged_arrays=exchanged,
-    )
-
-
-@dataclass(frozen=True)
-class TimestepCounters:
-    extra_arrays: int
-    locals: int
-    ops_per_point: int
-    ops_per_timestep: int
-    global_reads_per_point: int
-    global_writes_per_point: int
-
-
-def plan_counters(plan: KernelPlan, n: int) -> TimestepCounters:
-    """Per-point counters scaled to one three-stage timestep on an n^3 grid."""
-    c = plan.counters
-    return TimestepCounters(
-        extra_arrays=c.extra_arrays,
-        locals=c.locals,
-        ops_per_point=c.ops_per_point,
-        ops_per_timestep=c.ops_per_point * n**3 * 3,
-        global_reads_per_point=c.global_reads_per_point,
-        global_writes_per_point=c.global_writes_per_point,
     )
 
 
@@ -314,8 +224,3 @@ def dump_plan(plan: KernelPlan) -> str:
 
 def _stmt_doc(s: Statement) -> dict:
     return {"kind": s.kind, "target": s.target, "expr": ex.to_prefix(s.expr)}
-
-
-def parse_dump(text: str) -> dict:
-    """Parse a dump_plan document back into its dictionary form."""
-    return json.loads(text)

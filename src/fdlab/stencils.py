@@ -4,6 +4,12 @@ Weights are held as exact rationals and folded with the grid spacing
 into a single float multiplier per tap when an expression is built, so
 a discretized derivative costs one multiplication and one shifted read
 per tap plus the adds that join them.
+
+``discretize`` is the one lowering pass from symbolic derivatives to
+stencils. ``plan.build_plan`` calls it (and ``expand`` for one census
+node) with the storage policy's map from derivative nodes to the array
+or local that holds them; called without a map it expands everything,
+which is the reference the tests compare the plans against.
 """
 
 from __future__ import annotations
@@ -82,37 +88,68 @@ def apply_stencil(
     return ex.add(*terms)
 
 
-def discretize(expr: ex.Expr, h: float) -> ex.Expr:
+def discretize(expr: ex.Expr, h: float, stored=None) -> ex.Expr:
     """Replace every Derivative node with its central difference expansion.
+
+    ``stored`` maps Derivative nodes to the leaf that holds their value:
+    ``ex.array(name)`` for a global work array, ``ex.local(name)`` for a
+    per-point local. A stored node read at the point itself becomes its
+    leaf; every other node is expanded by ``expand``.
+    """
+    return _discretize(expr, h, stored, True)
+
+
+def expand(node: ex.Derivative, h: float, stored=None) -> ex.Expr:
+    """The central difference expansion of one Derivative node.
 
     One axis uses the first derivative stencil, a repeated axis the
     second derivative stencil, and two distinct axes nest first
     differences with the trailing axis applied first. A Derivative
-    operand that is itself a Derivative is expanded before the outer
+    operand that is itself a Derivative is resolved before the outer
     stencil is applied, so explicitly sequenced repeated differences
     stay sequenced.
+
+    Operands are read at neighbour points, where only global arrays
+    exist: an inner derivative (a sequenced pair's inner member, a mixed
+    pair's inner first difference, or one nested in the operand) is read
+    from its ``stored`` array, and re-expanded in place when it is a
+    local or not stored at all.
     """
-    if isinstance(expr, (ex.Constant, ex.RationalConstant)):
-        return expr
-    if isinstance(expr, (ex.SolutionRef, ex.WorkRef, ex.LocalRef)):
+    axes = node.axes
+    if len(axes) == 1:
+        operand = _discretize(node.operand, h, stored, False)
+        return apply_stencil(first_derivative_stencil(), operand, axes[0], h)
+    if axes[0] == axes[1]:
+        operand = _discretize(node.operand, h, stored, False)
+        return apply_stencil(second_derivative_stencil(), operand, axes[0], h)
+    inner = _discretize(ex.Derivative(node.operand, (axes[1],)), h, stored, False)
+    return apply_stencil(first_derivative_stencil(), inner, axes[0], h)
+
+
+_LEAVES = (ex.Constant, ex.RationalConstant, ex.SolutionRef, ex.WorkRef, ex.LocalRef)
+
+
+def _discretize(expr: ex.Expr, h: float, stored, at_point: bool) -> ex.Expr:
+    """``discretize`` for an expression read at the point itself
+    (``at_point``) or at a neighbour, where a stored local cannot be read."""
+    if isinstance(expr, _LEAVES):
         return expr
     if isinstance(expr, ex.Neg):
-        return ex.neg(discretize(expr.child, h))
+        return ex.neg(_discretize(expr.child, h, stored, at_point))
     if isinstance(expr, ex.Add):
-        return ex.add(*(discretize(c, h) for c in expr.children))
+        return ex.add(*(_discretize(c, h, stored, at_point) for c in expr.children))
     if isinstance(expr, ex.Mul):
-        return ex.mul(*(discretize(c, h) for c in expr.children))
+        return ex.mul(*(_discretize(c, h, stored, at_point) for c in expr.children))
     if isinstance(expr, ex.Div):
-        return ex.div(discretize(expr.numerator, h), discretize(expr.denominator, h))
+        return ex.div(
+            _discretize(expr.numerator, h, stored, at_point),
+            _discretize(expr.denominator, h, stored, at_point),
+        )
     if isinstance(expr, ex.IntPow):
-        return ex.intpow(discretize(expr.base, h), expr.exponent)
+        return ex.intpow(_discretize(expr.base, h, stored, at_point), expr.exponent)
     if isinstance(expr, ex.Derivative):
-        operand = discretize(expr.operand, h)
-        axes = expr.axes
-        if len(axes) == 1:
-            return apply_stencil(first_derivative_stencil(), operand, axes[0], h)
-        if axes[0] == axes[1]:
-            return apply_stencil(second_derivative_stencil(), operand, axes[0], h)
-        inner = apply_stencil(first_derivative_stencil(), operand, axes[1], h)
-        return apply_stencil(first_derivative_stencil(), inner, axes[0], h)
+        leaf = stored.get(expr) if stored else None
+        if leaf is not None and (at_point or isinstance(leaf, ex.WorkRef)):
+            return leaf
+        return expand(expr, h, stored)
     raise UnsupportedDerivativeError(f"cannot discretize {expr!r}")

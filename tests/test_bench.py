@@ -21,7 +21,7 @@ from fdlab.bench import (
 from fdlab.equations import FlowParams, build_equations
 from fdlab.errors import ReportError
 from fdlab.grid import FieldStore, Grid
-from fdlab.plan import build_plan, plan_counters
+from fdlab.plan import build_plan
 from fdlab.power import IterationRecord, MockSource
 from fdlab.solver import RunConfig
 
@@ -255,15 +255,10 @@ def _mini_report(variants=("bl", "sn"), repeats=2, with_energy=True):
                 for i in range(3)
             ]
     eqs = build_equations(FlowParams())
-    counters = {
-        variant: {
-            key: value
-            for key, value in vars(
-                plan_counters(build_plan(eqs, variant, Grid(16).h), 16)
-            ).items()
-        }
-        for variant in variants
-    }
+    counters = {}
+    for variant in variants:
+        c = build_plan(eqs, variant, Grid(16).h).counters
+        counters[variant] = {**vars(c), "ops_per_timestep": c.ops_per_timestep(16)}
     report = BenchReport(config={"n": 16, "steps": 4})
     report.rows = sorted(rows, key=lambda r: (r.variant, r.repeat))
     report.aggregates = aggregate(rows)

@@ -1,11 +1,12 @@
 """Command-line surface: flags, exit codes, and emitted files."""
 
+import json
+
 import pytest
 
 from fdlab import cli
 from fdlab.bench import VARIANT_ORDER, ValidationReport
 from fdlab.cli import main, parse_config
-from fdlab.plan import parse_dump
 
 
 def _usage_error(argv):
@@ -68,7 +69,7 @@ class TestEmitPlan:
     def test_single_variant_roundtrips(self, tmp_path):
         path = tmp_path / "plan.json"
         assert main(["--variant", "bl", "--grid", "16", "--emit-plan", str(path)]) == 0
-        doc = parse_dump(path.read_text())
+        doc = json.loads(path.read_text())
         assert doc["policy"] == "bl"
         assert doc["counters"]["extra_arrays"] == 63
 

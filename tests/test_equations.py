@@ -54,7 +54,7 @@ def _eval_primitive_chain(defs, bindings):
     for d in defs:
         v = ex.evaluate(d.expr, b)
         values[d.target] = v
-        if d.store == "local":
+        if d.kind == "local":
             b[ex.local_key(d.target)] = v
         else:
             b[ex.array_key(d.target)] = v
@@ -72,7 +72,7 @@ class TestPrimitives:
     def test_order_and_storage(self, params):
         defs = eq.build_primitives(params)
         assert [d.target for d in defs] == ["rinv", "u0", "u1", "u2", "p", "T"]
-        assert [d.store for d in defs] == ["local"] + ["array"] * 5
+        assert [d.kind for d in defs] == ["local"] + ["array"] * 5
 
     def test_single_density_division(self, params, eqset):
         divs = 0

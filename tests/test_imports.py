@@ -1,4 +1,5 @@
-"""Source hygiene: every module uses each name it imports."""
+"""Source hygiene: every module uses each name it imports, and every
+private module-level definition is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,49 @@ def test_no_unused_imports():
         if (names := _unused_imports(path.read_text()))
     }
     assert not unused, f"unused imports: {unused}"
+
+
+def _private_definitions(node: ast.stmt) -> list[str]:
+    """Private (single-underscore) names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [
+            sub.id
+            for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)
+        ]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Names and attributes that ``node`` loads."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_every_private_definition_is_read():
+    # A read inside the definition itself (recursion) does not count, so
+    # a recursive helper nothing else calls is still reported.
+    statements = [
+        (path.name, node)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    reads = [_names_read(node) for _, node in statements]
+    unread = [
+        f"{module}: {name}"
+        for index, (module, node) in enumerate(statements)
+        for name in _private_definitions(node)
+        if not any(name in r for other, r in enumerate(reads) if other != index)
+    ]
+    defined = sum(len(_private_definitions(node)) for _, node in statements)
+    assert defined > 0
+    assert not unread, f"private names nothing reads: {unread}"

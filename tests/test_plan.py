@@ -1,5 +1,7 @@
 """Plan lowering: storage policies, counters, ordering, dumps, equivalence."""
 
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -10,6 +12,7 @@ from fdlab import equations as eq
 from fdlab import expr as ex
 from fdlab import plan as pl
 from fdlab.errors import PlanError
+from fdlab.grid import Grid
 
 from conftest import GridBindings
 
@@ -59,8 +62,8 @@ class TestCounters:
             assert [s.target for s in residuals] == list(ex.COMPONENT_NAMES)
 
     def test_timestep_scaling(self, plans):
-        c = pl.plan_counters(plans["bl"], 64)
-        assert c.ops_per_timestep == c.ops_per_point * 64**3 * 3
+        c = plans["bl"].counters
+        assert c.ops_per_timestep(64) == c.ops_per_point * 64**3 * 3
         assert c.extra_arrays == 63
 
     def test_counters_independent_of_spacing(self, eqset, plans):
@@ -177,9 +180,26 @@ class TestRecomputationCost:
         assert delta == re_expansion - plans["ss"].counters.locals
 
 
+#: sha256 of dump_plan at Grid(16).h. Any change to lowering, statement
+#: order or the dump format shows here as a changed digest.
+DUMP_SHA256 = {
+    "bl": "eb4d4ebfe0d85f3ba60b1f386d82214cce54fcd1d6041d010bb54be42a32aa1a",
+    "rs": "ee75c9470e37db86f0246306aa96c6bc9ab3f53863557483354ee1c86215a65d",
+    "ss": "01359534d41c8a168f10609f4db01996b626a862353443bd99510c8c87a00b6a",
+    "ra": "375e62005ebb7da7d0e7b784f2511d8ebb1890355c1e05b44636d1613c429cfb",
+    "sn": "43cdd9e2316533c0e7326f79d31d727caa54c066f2ae5915d0a44b8e84ee6ed4",
+    "sn2": "6acc05c395d55f279a0154a7ccb8ded452bc9d2097a4b777fb6d045a280d7d8a",
+}
+
+
 class TestDump:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_dump_bytes_are_pinned(self, eqset, variant):
+        text = pl.dump_plan(pl.build_plan(eqset, variant, Grid(16).h))
+        assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[variant]
+
     def test_roundtrip_counters(self, plans):
-        doc = pl.parse_dump(pl.dump_plan(plans["bl"]))
+        doc = json.loads(pl.dump_plan(plans["bl"]))
         assert doc["counters"]["extra_arrays"] == 63
         assert doc["counters"]["ops_per_point"] == plans["bl"].counters.ops_per_point
         assert doc["policy"] == "bl"
@@ -190,8 +210,8 @@ class TestDump:
         assert a == b
 
     def test_sn_and_sn2_differ_only_in_point_phase(self, plans):
-        a = pl.parse_dump(pl.dump_plan(plans["sn"]))
-        b = pl.parse_dump(pl.dump_plan(plans["sn2"]))
+        a = json.loads(pl.dump_plan(plans["sn"]))
+        b = json.loads(pl.dump_plan(plans["sn2"]))
         assert a["phases"]["primitive"] == b["phases"]["primitive"]
         assert a["phases"]["work"] == b["phases"]["work"]
         assert a["counters"] == b["counters"]

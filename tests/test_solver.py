@@ -313,7 +313,8 @@ class TestRun:
 
         monkeypatch.setattr(sv, "execute_plan", poisoning)
         with pytest.raises(
-            StateError, match=r"density .* \(3, 4, 5\) \(step 1, stage 2\)"
+            StateError,
+            match=r"density -1\.0 at interior point \(3, 4, 5\) \(step 1, stage 2\)",
         ):
             run(RunConfig(n=16, steps=2, policy="sn"))
         assert len(calls) == 2

@@ -110,6 +110,43 @@ class TestExpansionStructure:
         assert not any(isinstance(n, ex.Derivative) for n in ex.walk(e))
 
 
+class TestStoredLeaves:
+    """discretize under a storage map: stored values replace expansions."""
+
+    def test_point_read_takes_array_or_local(self):
+        d = ex.deriv(ex.array("f"), 0)
+        for leaf in (ex.array("d"), ex.local("d")):
+            e = stencils.discretize(ex.mul(ex.array("g"), d), 1.0, {d: leaf})
+            assert e == ex.mul(ex.array("g"), leaf)
+
+    def test_mixed_inner_chains_from_stored_array(self):
+        inner = ex.deriv(ex.array("f"), 1)
+        e = stencils.expand(ex.deriv(ex.array("f"), 0, 1), 1.0, {inner: ex.array("g")})
+        refs = {(name, off) for _, name, off in ex.references(e)}
+        assert refs == {("g", (s, 0, 0)) for s in (-2, -1, 1, 2)}
+
+    def test_neighbour_read_re_expands_a_local(self):
+        for node in (
+            ex.deriv(ex.array("f"), 0, 1),
+            ex.deriv(ex.deriv(ex.array("f"), 1), 0),
+        ):
+            stored = {ex.deriv(ex.array("f"), 1): ex.local("g")}
+            want = stencils.discretize(node, 1.0)
+            assert stencils.discretize(node, 1.0, stored) == want
+
+    def test_expand_ignores_the_node_own_entry(self):
+        d = ex.deriv(ex.array("f"), 0)
+        e = stencils.expand(d, 1.0, {d: ex.array("d")})
+        assert e == stencils.discretize(d, 1.0)
+
+    def test_unknown_node_is_refused(self):
+        class Unknown(ex.Expr):
+            pass
+
+        with pytest.raises(UnsupportedDerivativeError):
+            stencils.discretize(ex.deriv(ex.mul(ex.array("f"), Unknown()), 0), 1.0)
+
+
 class TestAccuracyOracles:
     """Frozen values for sin-wave derivatives on a 32 point period."""
 
