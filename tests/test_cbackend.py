@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import platform
+import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -58,7 +61,7 @@ def _count_compiles(monkeypatch):
 
 
 @needs_compiler
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [8, 12, 13])  # 13 leaves a scalar remainder
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_residuals_byte_equal_numpy(eqset, monkeypatch, tmp_path, variant, n):
     grid = Grid(n)
@@ -72,6 +75,25 @@ def test_residuals_byte_equal_numpy(eqset, monkeypatch, tmp_path, variant, n):
     for workers, got in compiled.items():
         for component in ex.COMPONENT_NAMES:
             assert got[component] == reference[component], (workers, component)
+
+
+@needs_compiler
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="objdump is not installed")
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 mnemonics only")
+@pytest.mark.parametrize("variant", ["ra", "sn"])
+def test_point_loop_is_vectorised(eqset, tmp_path, variant):
+    plan = build_plan(eqset, variant, Grid(16).h)
+    kernel = cbackend.KernelCache(tmp_path).lookup(plan, 16)
+    assert kernel.backend == "c", kernel.reason
+    (library,) = tmp_path.glob("*.so")
+    listing = subprocess.run(
+        ["objdump", "-d", "--disassemble=fd_point", str(library)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    kinds = re.findall(r"\bv?(?:add|sub|mul|div)([ps])d\b", listing)
+    assert kinds.count("p") > 0 and kinds.count("s") == 0, (
+        f"{kinds.count('p')} packed, {kinds.count('s')} scalar"
+    )
 
 
 def test_missing_compiler_falls_back_with_reason(monkeypatch, tmp_path):
@@ -100,6 +122,7 @@ def test_provenance_names_compiler_and_library(monkeypatch, tmp_path):
     assert doc["ran"] == "c" and doc["fallback_reason"] is None
     assert doc["compiler"] == cbackend.compiler_version(cbackend.COMPILER)
     assert "-ffp-contract=off" in doc["flags"]
+    assert "-fopenmp-simd" in doc["flags"]
     (library,) = tmp_path.glob("*.so")
     assert doc["kernels"]["sn"]["sha256"] == cbackend._sha256_file(library)
 
@@ -142,6 +165,7 @@ def test_source_uses_exact_literals_and_left_folds(eqset):
     assert "fd_pow2(v_u0)" in source
     assert "((fd_pow2(v_u0) + fd_pow2(v_u1)) + fd_pow2(v_u2))" in source
     assert source.count("void fd_") == 63 + 2
+    assert source.count("#pragma omp simd") == 63 + 2  # one i-loop per function
 
 
 def test_plan_the_generator_cannot_express_runs_on_numpy(eqset, tmp_path):
