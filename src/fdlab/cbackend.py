@@ -134,8 +134,6 @@ class _Emitter:
             return _literal(node.value)
         if isinstance(node, ex.RationalConstant):
             return _literal(node.numerator / node.denominator)
-        if isinstance(node, ex.SolutionRef):
-            return self.array(COMPONENT_NAMES[node.component], node.offset)
         if isinstance(node, ex.WorkRef):
             return self.array(node.array, node.offset)
         if isinstance(node, ex.LocalRef):

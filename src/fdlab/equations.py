@@ -227,8 +227,6 @@ def _energy(params: FlowParams) -> ex.Expr:
 
 
 def _operand_tag(node: ex.Expr) -> str:
-    if isinstance(node, ex.SolutionRef):
-        return ex.COMPONENT_NAMES[node.component]
     if isinstance(node, ex.WorkRef):
         return node.array
     if isinstance(node, ex.Mul):

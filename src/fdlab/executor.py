@@ -76,9 +76,6 @@ class _SlabEval:
             return node.value
         if isinstance(node, ex.RationalConstant):
             return node.numerator / node.denominator
-        if isinstance(node, ex.SolutionRef):
-            padded = self.arrays[COMPONENT_NAMES[node.component]]
-            return _view(padded, self.n, node.offset, self.z0, self.z1)
         if isinstance(node, ex.WorkRef):
             return _view(self.arrays[node.array], self.n, node.offset, self.z0, self.z1)
         if isinstance(node, ex.LocalRef):
@@ -270,9 +267,9 @@ def evaluate_expression(
     """
     n = store.grid.n
     tapped = {
-        COMPONENT_NAMES[ident] if kind == "sol" else ident
-        for kind, ident, offset in ex.references(expr)
-        if kind != "loc" and offset != ZERO_OFFSET
+        ref.array
+        for ref in ex.references(expr)
+        if isinstance(ref, ex.WorkRef) and ref.offset != ZERO_OFFSET
     }
     for name in tapped:
         store.exchange(name)

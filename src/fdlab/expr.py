@@ -1,8 +1,11 @@
 """Immutable expression IR for pointwise field arithmetic.
 
-Expressions are trees of frozen dataclass nodes. Leaves reference grid
-fields at integer offsets from the current point (solution components,
-named global arrays, per-point locals) or hold numeric constants.
+Expressions are trees of frozen dataclass nodes. A leaf is a numeric
+constant or a storage read: ``WorkRef(name, offset)`` reads a global
+padded array at an integer offset from the current point (a conserved
+solution component, a primitive, a work array), and ``LocalRef(name)``
+reads a per-point local. ``solution(c)`` is ``array(COMPONENT_NAMES[c])``:
+a solution component is an array like any other.
 Interior nodes are negation, n-ary sums and products, division, small
 integer powers, and symbolic derivatives awaiting discretization.
 
@@ -88,21 +91,9 @@ class RationalConstant(Expr):
 
 
 @dataclass(frozen=True)
-class SolutionRef(Expr):
-    """Read of a conserved solution component at an offset from the point."""
-
-    component: int
-    offset: Offset = ZERO_OFFSET
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.component < len(COMPONENT_NAMES):
-            raise ExprError(f"solution component out of range: {self.component}")
-        object.__setattr__(self, "offset", _check_offset(self.offset))
-
-
-@dataclass(frozen=True)
 class WorkRef(Expr):
-    """Read of a named global array (primitive or work array) at an offset."""
+    """Read of a named global array (solution component, primitive or work
+    array) at an offset."""
 
     array: str
     offset: Offset = ZERO_OFFSET
@@ -360,8 +351,11 @@ def deriv(operand: NumberLike, *axes: int) -> Expr:
     return Derivative(node, tuple(axes))
 
 
-def solution(component: int, offset: Offset = ZERO_OFFSET) -> SolutionRef:
-    return SolutionRef(component, offset)
+def solution(component: int, offset: Offset = ZERO_OFFSET) -> WorkRef:
+    """Read of conserved component ``component``: its array's WorkRef."""
+    if not 0 <= component < len(COMPONENT_NAMES):
+        raise ExprError(f"solution component out of range: {component}")
+    return WorkRef(COMPONENT_NAMES[component], offset)
 
 
 def array(name: str, offset: Offset = ZERO_OFFSET) -> WorkRef:
@@ -384,9 +378,6 @@ def shift(expr: Expr, offset: Offset) -> Expr:
         return expr
     if isinstance(expr, (Constant, RationalConstant)):
         return expr
-    if isinstance(expr, SolutionRef):
-        new = tuple(a + b for a, b in zip(expr.offset, offset))
-        return SolutionRef(expr.component, new)  # type: ignore[arg-type]
     if isinstance(expr, WorkRef):
         new = tuple(a + b for a, b in zip(expr.offset, offset))
         return WorkRef(expr.array, new)  # type: ignore[arg-type]
@@ -459,43 +450,22 @@ def count_ops(expr: Expr) -> OpCounts:
     return OpCounts(adds, muls, divs, negs, pows)
 
 
-Bindings = Mapping[tuple, float]
-
-
-def solution_key(component: int, offset: Offset = ZERO_OFFSET) -> tuple:
-    return ("sol", component, tuple(offset))
-
-
-def array_key(name: str, offset: Offset = ZERO_OFFSET) -> tuple:
-    return ("arr", name, tuple(offset))
-
-
-def local_key(name: str) -> tuple:
-    return ("loc", name)
-
-
-def evaluate(expr: Expr, bindings: Bindings) -> float:
+def evaluate(expr: Expr, bindings: Mapping[Expr, float]) -> float:
     """Scalar point evaluation of a discretized expression.
 
-    ``bindings`` maps reference keys (see ``solution_key``, ``array_key``,
-    ``local_key``) to real values. This is the slow reference route used
-    to check the vectorized executor; keep it independent of numpy.
+    ``bindings`` maps each ``WorkRef``/``LocalRef`` leaf the expression
+    reads to a real value. This is the slow reference route used to check
+    the vectorized executor; keep it independent of numpy.
     """
     if isinstance(expr, Constant):
         return expr.value
     if isinstance(expr, RationalConstant):
         return expr.numerator / expr.denominator
-    if isinstance(expr, (SolutionRef, WorkRef, LocalRef)):
-        if isinstance(expr, SolutionRef):
-            key = solution_key(expr.component, expr.offset)
-        elif isinstance(expr, WorkRef):
-            key = array_key(expr.array, expr.offset)
-        else:
-            key = local_key(expr.name)
+    if isinstance(expr, (WorkRef, LocalRef)):
         try:
-            return float(bindings[key])
+            return float(bindings[expr])
         except KeyError:
-            raise UnboundReferenceError(f"no value bound for {key!r}") from None
+            raise UnboundReferenceError(f"no value bound for {expr!r}") from None
     if isinstance(expr, Neg):
         return -evaluate(expr.child, bindings)
     if isinstance(expr, Add):
@@ -523,8 +493,8 @@ def to_prefix(expr: Expr) -> str:
     Grammar (one line, no indentation):
       constant   -> shortest float repr, e.g. ``-0.5``
       rational   -> ``a/b``
-      solution   -> ``(sol NAME o0 o1 o2)`` with canonical component name
-      array      -> ``(arr NAME o0 o1 o2)``
+      solution   -> ``(sol NAME o0 o1 o2)``, an array named in COMPONENT_NAMES
+      array      -> ``(arr NAME o0 o1 o2)``, any other array
       local      -> ``(loc NAME)``
       negation   -> ``(neg X)``
       sum        -> ``(+ X Y ...)``
@@ -537,11 +507,10 @@ def to_prefix(expr: Expr) -> str:
         return repr(expr.value)
     if isinstance(expr, RationalConstant):
         return f"{expr.numerator}/{expr.denominator}"
-    if isinstance(expr, SolutionRef):
-        name = COMPONENT_NAMES[expr.component]
-        return f"(sol {name} {expr.offset[0]} {expr.offset[1]} {expr.offset[2]})"
     if isinstance(expr, WorkRef):
-        return f"(arr {expr.array} {expr.offset[0]} {expr.offset[1]} {expr.offset[2]})"
+        label = "sol" if expr.array in COMPONENT_NAMES else "arr"
+        o0, o1, o2 = expr.offset
+        return f"({label} {expr.array} {o0} {o1} {o2})"
     if isinstance(expr, LocalRef):
         return f"(loc {expr.name})"
     if isinstance(expr, Neg):
@@ -580,11 +549,8 @@ def walk(expr: Expr):
 
 
 def references(expr: Expr):
-    """Iterate (kind, identifier, offset) triples for every field read."""
+    """Iterate the ``WorkRef`` and ``LocalRef`` leaves of every storage
+    read, in walk order, one per occurrence."""
     for node in walk(expr):
-        if isinstance(node, SolutionRef):
-            yield ("sol", node.component, node.offset)
-        elif isinstance(node, WorkRef):
-            yield ("arr", node.array, node.offset)
-        elif isinstance(node, LocalRef):
-            yield ("loc", node.name, ZERO_OFFSET)
+        if isinstance(node, (WorkRef, LocalRef)):
+            yield node

@@ -28,8 +28,6 @@ from . import stencils
 from .equations import EquationSet, PRIMITIVE_ARRAYS, Statement
 from .errors import PlanError
 
-VELOCITY_ARRAYS = ("u0", "u1", "u2")
-
 
 class StoragePolicy(Enum):
     """The six derivative-storage strategies."""
@@ -98,32 +96,38 @@ def _storage_assignment(eqset: EquationSet, policy: StoragePolicy):
     return storage
 
 
+#: Velocity-component index of the arrays that carry one: u_i and rho u_i.
+_VELOCITY_INDEX = {
+    **{f"u{i}": i for i in range(3)},
+    **{f"rhou{i}": i for i in range(3)},
+}
+
+
 def _velocity_group(entry) -> int:
-    """Lowest velocity-component index in the operand; 3 when none."""
-
-    def indices(node) -> set[int]:
-        out: set[int] = set()
-        for sub in ex.walk(node):
-            if isinstance(sub, ex.WorkRef) and sub.array in VELOCITY_ARRAYS:
-                out.add(int(sub.array[1]))
-            elif isinstance(sub, ex.SolutionRef) and 1 <= sub.component <= 3:
-                out.add(sub.component - 1)
-        return out
-
-    found = indices(entry.node.operand)
-    return min(found) if found else 3
+    """Lowest velocity-component index the operand reads; 3 when none."""
+    found = [
+        _VELOCITY_INDEX[ref.array]
+        for ref in ex.references(entry.node.operand)
+        if ref.array in _VELOCITY_INDEX
+    ]
+    return min(found, default=3)
 
 
 def _validate(plan_stmts, work_names: set[str]) -> None:
     assigned: set[str] = set()
     for s in plan_stmts:
-        for kind, name, off in ex.references(s.expr):
-            if kind == "loc" and name not in assigned:
-                raise PlanError(
-                    f"local {name!r} read before assignment in per-point phase"
-                )
-            if kind == "arr" and name not in work_names and name not in PRIMITIVE_ARRAYS:
-                raise PlanError(f"array {name!r} read but never written")
+        for ref in ex.references(s.expr):
+            if isinstance(ref, ex.LocalRef):
+                if ref.name not in assigned:
+                    raise PlanError(
+                        f"local {ref.name!r} read before assignment in per-point phase"
+                    )
+            elif not (
+                ref.array in work_names
+                or ref.array in PRIMITIVE_ARRAYS
+                or ref.array in ex.COMPONENT_NAMES
+            ):
+                raise PlanError(f"array {ref.array!r} read but never written")
         if s.kind == "local":
             assigned.add(s.target)
 
@@ -140,11 +144,11 @@ def _count_plan(primitive, work, point) -> tuple[PlanCounters, frozenset[str]]:
             ops += 1
         else:
             writes += 1
-        for kind, name, offset in ex.references(stmt.expr):
-            if kind in ("sol", "arr"):
+        for ref in ex.references(stmt.expr):
+            if isinstance(ref, ex.WorkRef):
                 reads += 1
-            if kind == "arr" and offset != ex.ZERO_OFFSET:
-                offset_reads.add(name)
+                if ref.offset != ex.ZERO_OFFSET:
+                    offset_reads.add(ref.array)
     counters = PlanCounters(
         extra_arrays=len(work),
         locals=sum(1 for s in point if s.kind == "local"),

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cbackend
 from .equations import FlowParams, build_equations
 from .executor import check_positive, execute_plan
 from .expr import COMPONENT_NAMES
@@ -179,7 +180,8 @@ def run(
 ) -> RunResult:
     """Initialize, advance `steps` timesteps, and monitor each boundary.
 
-    The monitor samples once before the loop and once at the end of every
+    The plan's kernel is built or loaded before the first sample. The
+    monitor samples once before the loop and once at the end of every
     iteration. Each record goes to `record_sink` as soon as it exists, so
     a failing run still leaves the completed iterations on disk when the
     sink writes through.
@@ -196,6 +198,9 @@ def run(
     dt = config.dt if config.dt is not None else compute_timestep(
         store, config.params, config.cfl
     )
+    # Build or load the kernel now, so a cold compile lands in set-up and
+    # never in a timed step; execute_plan's own lookup then hits.
+    cbackend.KERNELS.lookup(plan, grid.n)
     accumulators = allocate_accumulators(grid)
     if source is None:
         source = NullSource()

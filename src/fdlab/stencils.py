@@ -126,7 +126,7 @@ def expand(node: ex.Derivative, h: float, stored=None) -> ex.Expr:
     return apply_stencil(first_derivative_stencil(), inner, axes[0], h)
 
 
-_LEAVES = (ex.Constant, ex.RationalConstant, ex.SolutionRef, ex.WorkRef, ex.LocalRef)
+_LEAVES = (ex.Constant, ex.RationalConstant, ex.WorkRef, ex.LocalRef)
 
 
 def _discretize(expr: ex.Expr, h: float, stored, at_point: bool) -> ex.Expr:

@@ -20,13 +20,14 @@ def bind_arrays(h, point, fields):
     """Sample callables onto every halo offset around one grid point.
 
     ``fields`` maps array names to functions of (x0, x1, x2). The result
-    binds ("arr", name, offset) keys for all offsets in the halo cube.
+    binds the ``ex.array(name, offset)`` leaf of every offset in the halo
+    cube.
     """
     out = {}
     x0, x1, x2 = point
     for name, func in fields.items():
         for o in HALO_OFFSETS:
-            out[ex.array_key(name, o)] = func(
+            out[ex.array(name, o)] = func(
                 x0 + o[0] * h, x1 + o[1] * h, x2 + o[2] * h
             )
     return out
@@ -34,14 +35,9 @@ def bind_arrays(h, point, fields):
 
 def bind_solution(h, point, comps):
     """Same as bind_arrays for solution components keyed by index."""
-    out = {}
-    x0, x1, x2 = point
-    for comp, func in comps.items():
-        for o in HALO_OFFSETS:
-            out[ex.solution_key(comp, o)] = func(
-                x0 + o[0] * h, x1 + o[1] * h, x2 + o[2] * h
-            )
-    return out
+    return bind_arrays(
+        h, point, {ex.COMPONENT_NAMES[comp]: func for comp, func in comps.items()}
+    )
 
 
 def spacing(n):
@@ -59,18 +55,16 @@ class GridBindings(dict):
         super().__init__()
         self.point = point
         self.n = n
-        self.solutions = solutions or {}
-        self.arrays = arrays or {}
-        if locals_:
-            for name, value in locals_.items():
-                self[ex.local_key(name)] = value
+        self.fields = {ex.COMPONENT_NAMES[c]: f for c, f in (solutions or {}).items()}
+        self.fields.update(arrays or {})
+        for name, value in (locals_ or {}).items():
+            self[ex.local(name)] = value
 
     def __missing__(self, key):
-        kind, ident, off = key
-        if kind == "sol":
-            field = self.solutions[ident]
-        else:
-            field = self.arrays[ident]
+        if not isinstance(key, ex.WorkRef):
+            raise KeyError(key)
+        field = self.fields[key.array]
+        off = key.offset
         i, j, k = self.point
         value = field[
             (i + off[0]) % self.n, (j + off[1]) % self.n, (k + off[2]) % self.n

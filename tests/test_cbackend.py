@@ -1,6 +1,7 @@
 """Compiled backend: bit-identity with numpy, fallback, and caching."""
 
 import dataclasses
+import hashlib
 import json
 import platform
 import re
@@ -94,6 +95,37 @@ def test_point_loop_is_vectorised(eqset, tmp_path, variant):
     assert kinds.count("p") > 0 and kinds.count("s") == 0, (
         f"{kinds.count('p')} packed, {kinds.count('s')} scalar"
     )
+
+
+#: sha256 of generate_source(build_plan(eqset, variant, Grid(16).h), 16). A
+#: change here changes every kernel-cache key, so the next run of each
+#: variant compiles again.
+SOURCE_SHA256 = {
+    "bl": "8ec3a20f8343f8d1e877364126d8289744cb4cc3beabb62c5e3d632968ae72d7",
+    "rs": "f27a500ae77e66a96971d28b1829194dd5e23d0254a86f5eb103380d2d9bb387",
+    "ss": "a32df245441159563b0490365b322dc6191353c528285a59ae54ea95f4a7507a",
+    "ra": "4ad14a87da719c62be84a178891ab0360292787020894600433d6e5560dc02fc",
+    "sn": "c37db1378d730f7dfda92997ca2fc2a1c1b7ce37a535ec2259ae3c3682ce508d",
+    "sn2": "89eb8bbca25b7e32a6ae4bee1ed14e9384a68a9b83663ae6a36f11e8abc300b7",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_generated_source_is_pinned(eqset, variant):
+    source = cbackend.generate_source(build_plan(eqset, variant, Grid(16).h), 16)
+    assert hashlib.sha256(source.encode()).hexdigest() == SOURCE_SHA256[variant]
+
+
+@needs_compiler
+def test_run_builds_the_kernel_before_the_first_record(monkeypatch, tmp_path):
+    monkeypatch.setattr(cbackend, "KERNELS", cbackend.KernelCache(tmp_path))
+    libraries = {}
+
+    def sink(record):
+        libraries[record.iteration] = len(list(tmp_path.glob("*.so")))
+
+    run(RunConfig(n=8, steps=1, policy="sn", repeats=1), record_sink=sink)
+    assert libraries == {0: 1, 1: 1}
 
 
 def test_missing_compiler_falls_back_with_reason(monkeypatch, tmp_path):

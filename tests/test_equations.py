@@ -55,16 +55,16 @@ def _eval_primitive_chain(defs, bindings):
         v = ex.evaluate(d.expr, b)
         values[d.target] = v
         if d.kind == "local":
-            b[ex.local_key(d.target)] = v
+            b[ex.local(d.target)] = v
         else:
-            b[ex.array_key(d.target)] = v
+            b[ex.array(d.target)] = v
     return values
 
 
 def _rest_bindings(rho, rhou, rho_e):
-    b = {ex.solution_key(0): rho, ex.solution_key(4): rho_e}
+    b = {ex.solution(0): rho, ex.solution(4): rho_e}
     for i in range(3):
-        b[ex.solution_key(1 + i)] = rhou[i]
+        b[ex.solution(1 + i)] = rhou[i]
     return b
 
 
@@ -149,14 +149,13 @@ class TestCensus:
             return node.operand
 
         def allowed(base):
-            if isinstance(base, ex.SolutionRef):
-                return True  # rho, rhou_i, rhoE
             if isinstance(base, ex.WorkRef):
-                return base.array in velocity | {"p", "T"}
+                # rho, rhou_i, rhoE, or a primitive
+                return base.array in {*ex.COMPONENT_NAMES, *velocity, "p", "T"}
             if isinstance(base, ex.Mul) and len(base.children) == 2:
                 a, b = base.children
                 return (
-                    isinstance(a, (ex.SolutionRef, ex.WorkRef))
+                    isinstance(a, ex.WorkRef)
                     and isinstance(b, ex.WorkRef)
                     and b.array in velocity
                 )

@@ -65,10 +65,8 @@ class _StoreBindings(dict):
         self.point = point
 
     def __missing__(self, key):
-        kind, ident, offset = key
-        name = ex.COMPONENT_NAMES[ident] if kind == "sol" else ident
-        full = self.store.full(name)
-        i, j, k = (HALO + self.point[d] + offset[d] for d in range(3))
+        full = self.store.full(key.array)
+        i, j, k = (HALO + self.point[d] + key.offset[d] for d in range(3))
         value = float(full[i, j, k])
         self[key] = value
         return value

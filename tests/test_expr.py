@@ -110,7 +110,7 @@ class TestConstruction:
 
     def test_offset_bounds_checked_at_construction(self):
         with pytest.raises(FootprintError):
-            ex.SolutionRef(0, (5, 0, 0))
+            ex.solution(0, (5, 0, 0))
         with pytest.raises(FootprintError):
             ex.WorkRef("u0", (0, 0, -5))
 
@@ -176,11 +176,11 @@ class TestShift:
 class TestEvaluate:
     def test_arithmetic(self):
         e = ex.add(1, ex.mul(2, ex.local("a")), ex.intpow(ex.local("a"), 2))
-        assert ex.evaluate(e, {ex.local_key("a"): 3.0}) == 16.0
+        assert ex.evaluate(e, {ex.local("a"): 3.0}) == 16.0
 
     def test_division(self):
         e = ex.div(ex.local("a"), ex.local("b"))
-        b = {ex.local_key("a"): 1.0, ex.local_key("b"): 8.0}
+        b = {ex.local("a"): 1.0, ex.local("b"): 8.0}
         assert ex.evaluate(e, b) == 0.125
 
     def test_unbound_reference_is_named(self):
@@ -215,10 +215,46 @@ class TestDump:
         e = ex.add(ex.solution(2, (1, 0, 0)), ex.mul(ex.array("p"), ex.local("t")))
         refs = set(ex.references(e))
         assert refs == {
-            ("sol", 2, (1, 0, 0)),
-            ("arr", "p", (0, 0, 0)),
-            ("loc", "t", (0, 0, 0)),
+            ex.solution(2, (1, 0, 0)),
+            ex.array("p", (0, 0, 0)),
+            ex.local("t"),
         }
+
+
+class TestOneSpellingOfARead:
+    """A storage read is its WorkRef/LocalRef leaf, whatever built it."""
+
+    @pytest.mark.parametrize("component", range(5))
+    @pytest.mark.parametrize("offset", [(0, 0, 0), (1, 0, 0), (0, -2, 3)])
+    def test_solution_is_its_component_array(self, component, offset):
+        a = ex.solution(component, offset)
+        b = ex.array(ex.COMPONENT_NAMES[component], offset)
+        assert a == b and hash(a) == hash(b)
+
+    def test_component_out_of_range_is_refused(self):
+        with pytest.raises(ExprError):
+            ex.solution(5)
+        with pytest.raises(ExprError):
+            ex.solution(-1)
+
+    def test_references_yield_leaves(self):
+        e = ex.add(
+            ex.deriv(ex.solution(1), 0),
+            ex.div(ex.array("p", (0, 1, 0)), ex.local("t")),
+            ex.intpow(ex.neg(ex.array("u0")), 2),
+        )
+        refs = list(ex.references(e))
+        assert refs == [
+            ex.array("rhou0"), ex.array("p", (0, 1, 0)), ex.local("t"), ex.array("u0")
+        ]
+        assert all(type(r) in (ex.WorkRef, ex.LocalRef) for r in refs)
+
+    def test_evaluate_takes_leaf_keyed_bindings(self):
+        e = ex.mul(ex.solution(0, (1, 0, 0)), ex.add(ex.array("p"), ex.local("t")))
+        b = {ex.array("rho", (1, 0, 0)): 2.0, ex.array("p"): 3.0, ex.local("t"): 0.5}
+        assert ex.evaluate(e, b) == 7.0
+        with pytest.raises(UnboundReferenceError, match="WorkRef"):
+            ex.evaluate(ex.solution(0), b)
 
 
 def _leaf(draw, names=("f", "g")):
@@ -267,9 +303,9 @@ def test_shift_commutes_with_evaluation(e, off):
     moved = bind_arrays(h, tuple(o * h for o in off), fields)
     for comp in range(5):
         for key in list(base):
-            if key[0] == "arr":
-                base[("sol", comp, key[2])] = base[ex.array_key("f", key[2])]
-                moved[("sol", comp, key[2])] = moved[ex.array_key("f", key[2])]
+            if key.array == "f":
+                base[ex.solution(comp, key.offset)] = base[key]
+                moved[ex.solution(comp, key.offset)] = moved[key]
     assert ex.evaluate(ex.shift(e, off), base) == ex.evaluate(e, moved)
 
 

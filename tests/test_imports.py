@@ -1,7 +1,9 @@
-"""Source hygiene: every module uses each name it imports, and every
-private module-level definition is read somewhere in the package."""
+"""Source hygiene: every module uses each name it imports, every private
+module-level definition is read somewhere in the package, and every
+attribute read from a sibling module exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import fdlab
@@ -86,3 +88,40 @@ def test_every_private_definition_is_read():
     defined = sum(len(_private_definitions(node)) for _, node in statements)
     assert defined > 0
     assert not unread, f"private names nothing reads: {unread}"
+
+
+def _module_attribute_loads(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, attribute) of every ``A.x`` load where ``A`` is bound
+    by ``from . import M [as A]``."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    return [
+        (node.lineno, aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    ]
+
+
+def test_sibling_module_attributes_exist():
+    # A stale name (say a deleted IR class) in a rarely run branch would
+    # otherwise surface only as an AttributeError at run time.
+    loads = {
+        path.name: _module_attribute_loads(path.read_text())
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    assert sum(map(len, loads.values())) > 0
+    missing = [
+        f"{module_file}:{line}: {module}.{attr}"
+        for module_file, found in loads.items()
+        for line, module, attr in found
+        if not hasattr(importlib.import_module(f"fdlab.{module}"), attr)
+    ]
+    assert not missing, f"attributes the imported module lacks: {missing}"

@@ -82,7 +82,9 @@ class TestStructure:
     def test_work_phase_reads_no_locals(self, plans):
         for p in plans.values():
             for s in p.work_phase:
-                assert not any(k == "loc" for k, _, _ in ex.references(s.expr))
+                assert not any(
+                    isinstance(r, ex.LocalRef) for r in ex.references(s.expr)
+                )
 
     def test_ss_locals_follow_enumeration_order(self, eqset, plans):
         names = [d.name for d in eqset.derivatives if not d.is_velocity_gradient]
@@ -98,9 +100,9 @@ class TestStructure:
         stmt = {s.target: s for s in plans["bl"].work_phase}["d_u1_x0x1"]
         assert ex.count_ops(stmt.expr).total() == 7
         reads = {
-            (name, off)
-            for kind, name, off in ex.references(stmt.expr)
-            if kind == "arr"
+            (r.array, r.offset)
+            for r in ex.references(stmt.expr)
+            if isinstance(r, ex.WorkRef)
         }
         assert reads == {("d_u1_x1", (s, 0, 0)) for s in (-2, -1, 1, 2)}
 
@@ -111,7 +113,10 @@ class TestStructure:
             if s.kind == "local"
         }["d_u1_x0x1"]
         assert ex.count_ops(stmt.expr).total() == 35
-        names = {name for kind, name, _ in ex.references(stmt.expr)}
+        names = {
+            r.array if isinstance(r, ex.WorkRef) else r.name
+            for r in ex.references(stmt.expr)
+        }
         assert names == {"u1"}
 
     def test_exchanged_arrays(self, plans):

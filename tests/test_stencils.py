@@ -57,7 +57,7 @@ class TestExpansionStructure:
             stencils.first_derivative_stencil(), ex.array("f"), 0, 1.0
         )
         assert ex.count_ops(e) == ex.OpCounts(adds=3, muls=4)
-        offs = sorted(o[0] for _, _, o in ex.references(e))
+        offs = sorted(r.offset[0] for r in ex.references(e))
         assert offs == [-2, -1, 1, 2]
 
     def test_second_is_five_muls_four_adds(self):
@@ -65,7 +65,7 @@ class TestExpansionStructure:
             stencils.second_derivative_stencil(), ex.array("f"), 2, 1.0
         )
         assert ex.count_ops(e) == ex.OpCounts(adds=4, muls=5)
-        offs = sorted(o[2] for _, _, o in ex.references(e))
+        offs = sorted(r.offset[2] for r in ex.references(e))
         assert offs == [-2, -1, 0, 1, 2]
 
     def test_product_operand_costs_eleven(self):
@@ -82,7 +82,7 @@ class TestExpansionStructure:
         """The trailing axis varies inside each leading-axis tap group."""
         e = stencils.discretize(ex.deriv(ex.array("f"), 0, 1), 1.0)
         assert isinstance(e, ex.Add)
-        first_group = {o for _, _, o in ex.references(e.children[0])}
+        first_group = {r.offset for r in ex.references(e.children[0])}
         assert first_group == {(-2, s, 0) for s in (-2, -1, 1, 2)}
 
     def test_repeated_axis_is_direct_second(self):
@@ -122,7 +122,7 @@ class TestStoredLeaves:
     def test_mixed_inner_chains_from_stored_array(self):
         inner = ex.deriv(ex.array("f"), 1)
         e = stencils.expand(ex.deriv(ex.array("f"), 0, 1), 1.0, {inner: ex.array("g")})
-        refs = {(name, off) for _, name, off in ex.references(e)}
+        refs = {(r.array, r.offset) for r in ex.references(e)}
         assert refs == {("g", (s, 0, 0)) for s in (-2, -1, 1, 2)}
 
     def test_neighbour_read_re_expands_a_local(self):
