@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import platform
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,29 +30,6 @@ BASELINE = "bl"
 VALIDATION_TOLERANCE = 1e-10
 
 SERIES_HEADER = ("iteration", "t_s", "power_w", "cum_energy_j")
-
-RUNS_HEADER = (
-    "variant",
-    "repeat",
-    "n",
-    "steps",
-    "runtime_s",
-    "total_energy_j",
-    "mean_power_w",
-    "warmup",
-)
-
-SUMMARY_HEADER = (
-    "variant",
-    "mean_runtime_s",
-    "speedup",
-    "mean_energy_j",
-    "energy_saving",
-    "ops_per_timestep",
-    "extra_arrays",
-    "locals",
-)
-
 
 @dataclass(frozen=True)
 class RunRow:
@@ -81,6 +58,14 @@ class AggregateRow:
     speedup: float | None = None
     mean_energy_j: float | None = None
     energy_saving: float | None = None
+
+
+RUNS_HEADER = tuple(f.name for f in fields(RunRow))
+
+#: The plan counters each summary row carries after its aggregate.
+_SUMMARY_COUNTERS = ("ops_per_timestep", "extra_arrays", "locals")
+
+SUMMARY_HEADER = (*(f.name for f in fields(AggregateRow)), *_SUMMARY_COUNTERS)
 
 
 @dataclass
@@ -222,7 +207,6 @@ def run_matrix(
 
 def _config_dict(config: RunConfig, variants: list[str]) -> dict:
     doc = asdict(config)
-    doc["params"] = asdict(config.params)
     doc["variants"] = list(variants)
     return doc
 
@@ -345,23 +329,7 @@ def emit_reports(report: BenchReport, out_dir, json_path=None) -> list[str]:
         written.append(path)
 
     runs_path = f"{out}/runs.csv"
-    _write_csv(
-        runs_path,
-        RUNS_HEADER,
-        (
-            (
-                r.variant,
-                r.repeat,
-                r.n,
-                r.steps,
-                r.runtime_s,
-                r.total_energy_j,
-                r.mean_power_w,
-                r.warmup,
-            )
-            for r in report.rows
-        ),
-    )
+    _write_csv(runs_path, RUNS_HEADER, (astuple(r) for r in report.rows))
     written.append(runs_path)
 
     summary_path = f"{out}/summary.csv"
@@ -370,14 +338,8 @@ def emit_reports(report: BenchReport, out_dir, json_path=None) -> list[str]:
         SUMMARY_HEADER,
         (
             (
-                a.variant,
-                a.mean_runtime_s,
-                a.speedup,
-                a.mean_energy_j,
-                a.energy_saving,
-                report.counters.get(a.variant, {}).get("ops_per_timestep"),
-                report.counters.get(a.variant, {}).get("extra_arrays"),
-                report.counters.get(a.variant, {}).get("locals"),
+                *astuple(a),
+                *(report.counters.get(a.variant, {}).get(k) for k in _SUMMARY_COUNTERS),
             )
             for a in report.aggregates
         ),

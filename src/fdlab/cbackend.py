@@ -1,4 +1,4 @@
-"""Compiled C backend: one C function per plan phase, built with gcc.
+"""Compiled C backend: one C function per ``plan.phases`` entry, built with gcc.
 
 The generator walks each statement's expression tree the way the numpy
 slab evaluator does and writes it as one C expression per statement, so
@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .expr import COMPONENT_NAMES, ZERO_OFFSET
+from .expr import ZERO_OFFSET
 from .grid import HALO
 from .plan import KernelPlan
 
@@ -210,31 +210,14 @@ def _phase_function(name, statements, n, pointers, powers) -> str:
     )
 
 
-def phase_names(plan: KernelPlan) -> list[str]:
-    """C function names in launch order: primitive, each work statement,
-    point."""
-    return ["fd_primitive"] + [f"fd_work_{i}" for i in range(len(plan.work_phase))] + [
-        "fd_point"
-    ]
-
-
-def pointer_table(plan: KernelPlan) -> tuple[str, ...]:
-    """Field names in the order of the pointer array every function takes."""
-    names = list(COMPONENT_NAMES)
-    for phase in (plan.primitive_phase, plan.work_phase, plan.point_phase):
-        names += [s.array for s in phase if s.array is not None]
-    return tuple(dict.fromkeys(names))
-
-
 def generate_source(plan: KernelPlan, n: int) -> str:
     """The complete C translation unit for the plan on an n^3 grid."""
-    table = pointer_table(plan)
+    table = plan.arrays
     pointers = {name: slot for slot, name in enumerate(table)}
     powers: set[int] = set()
-    phases = [plan.primitive_phase, *((s,) for s in plan.work_phase), plan.point_phase]
     functions = [
-        _phase_function(name, stmts, n, pointers, powers)
-        for name, stmts in zip(phase_names(plan), phases)
+        _phase_function(phase.name, phase.statements, n, pointers, powers)
+        for phase in plan.phases
     ]
     header = (
         f"/* fdlab kernel: policy {plan.policy.value}, n={n}, h={plan.h!r}.\n"
@@ -297,7 +280,7 @@ def default_cache_dir() -> Path:
 class Kernel:
     """A plan's compiled phase functions, or the reason there are none.
 
-    ``functions`` follow ``phase_names`` order; None means the numpy
+    ``functions`` follow ``plan.phases``; None means the numpy
     reference evaluator runs this plan, and ``reason`` says why.
     """
 
@@ -380,12 +363,12 @@ class KernelCache:
             kernel.reason = str(err)
             return kernel
         functions = []
-        for name in phase_names(plan):
-            function = getattr(library, name)
+        for phase in plan.phases:
+            function = getattr(library, phase.name)
             function.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
             function.restype = None
             functions.append(function)
-        kernel.table = pointer_table(plan)
+        kernel.table = plan.arrays
         kernel.functions = tuple(functions)
         kernel.library = library
         kernel.sha256 = _sha256_file(library_path)

@@ -12,9 +12,11 @@ import argparse
 import os
 import shlex
 import sys
+from dataclasses import astuple, fields
 
 from .bench import (
     VARIANT_ORDER,
+    AggregateRow,
     emit_reports,
     run_matrix,
     validate_mode,
@@ -180,17 +182,10 @@ def _run_benchmarks(config: RunConfig, options) -> int:
     )
     json_path = os.path.join(options.out, "provenance.json")
     written = emit_reports(report, options.out, json_path=json_path)
-    header = ("variant", "mean_runtime_s", "speedup", "mean_energy_j",
-              "energy_saving")
-    print("  ".join(f"{name:>14}" for name in header))
+    print("  ".join(f"{f.name:>14}" for f in fields(AggregateRow)))
     for row in report.aggregates:
-        cells = (
-            row.variant,
-            _format_cell(row.mean_runtime_s),
-            _format_cell(row.speedup),
-            _format_cell(row.mean_energy_j),
-            _format_cell(row.energy_saving),
-        )
+        variant, *values = astuple(row)
+        cells = (variant, *(_format_cell(value) for value in values))
         print("  ".join(f"{cell:>14}" for cell in cells))
     print(f"wrote {len(written)} files under {options.out}")
     return 0

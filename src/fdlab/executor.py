@@ -1,9 +1,9 @@
 """Application of a kernel plan to grid fields.
 
-``execute_plan`` owns the phase order, the halo exchanges and the state
-checks, and runs the phases on one of two backends: the compiled C
-kernel of ``cbackend``, or the numpy slab evaluator below, which is the
-reference the compiled code must match bit for bit.
+``execute_plan`` runs the plan's phases in launch order, refreshes the
+halos each phase names and checks the state, on one of two backends:
+the compiled C kernel of ``cbackend``, or the numpy slab evaluator
+below, which is the reference the compiled code must match bit for bit.
 
 The numpy evaluator walks each statement's expression tree node by node
 over a slab of interior points, with field references resolved to
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import cbackend
 from . import expr as ex
-from .equations import PRIMITIVE_ARRAYS
 from .errors import GridError, NumericalBlowupError, StateError
 from .expr import COMPONENT_NAMES, ZERO_OFFSET
 from .grid import HALO, FieldStore
@@ -177,11 +176,7 @@ def _numpy_phases(plan: KernelPlan, arrays, n: int) -> list:
 
         return run
 
-    return [
-        phase(plan.primitive_phase),
-        *(phase((stmt,)) for stmt in plan.work_phase),
-        phase(plan.point_phase),
-    ]
+    return [phase(p.statements) for p in plan.phases]
 
 
 def execute_plan(
@@ -191,7 +186,7 @@ def execute_plan(
     step: int | None = None,
     stage: int | None = None,
 ) -> dict[str, np.ndarray]:
-    """Run the plan's three phases and return the residual fields.
+    """Run the plan's phases in order and return the residual fields.
 
     The phases run compiled when the plan's C kernel builds and loads
     (see ``cbackend``), and through the numpy slab evaluator otherwise;
@@ -199,19 +194,18 @@ def execute_plan(
     `workers` threads.
 
     This is the only code that refreshes halos, and it trusts none it
-    finds: it exchanges the solution on entry, the primitives after the
-    primitive phase, and each of ``plan.exchanged_arrays`` right after
-    the work statement that writes it.
+    finds: it exchanges the solution on entry and, after each phase, the
+    arrays in that phase's ``exchange``.
 
     It also tests the state it reads: density on entry, pressure after
-    the primitive phase and finite residuals at the end. `step` and
-    `stage` only label the messages of those errors.
+    the first (primitive) phase and finite residuals at the end. `step`
+    and `stage` only label the messages of those errors.
     """
     grid = store.grid
     n = grid.n
     if not math.isclose(plan.h, grid.h, rel_tol=1e-12, abs_tol=0.0):
         raise GridError(f"plan spacing {plan.h} does not match grid spacing {grid.h}")
-    store.ensure_work(plan.work_array_names())
+    store.ensure_work(plan.arrays)
     for name in COMPONENT_NAMES:
         store.exchange(name)
     check_positive(store.interior("rho"), "density", step, stage)
@@ -219,34 +213,30 @@ def execute_plan(
     kernel = cbackend.KERNELS.lookup(plan, n)
     arrays = {name: store.full(name) for name in store.names()}
     if kernel.functions is None:
-        phases = _numpy_phases(plan, arrays, n)
+        functions = _numpy_phases(plan, arrays, n)
         spans = _slab_spans(n)
     else:
         table = kernel.pointers(arrays)
-        phases = [functools.partial(f, table) for f in kernel.functions]
+        functions = [functools.partial(f, table) for f in kernel.functions]
         spans = _worker_spans(n, workers)
-    primitive, *work, point = phases
 
     pool = ThreadPoolExecutor(workers) if workers > 1 and len(spans) > 1 else None
 
-    def launch(phase) -> None:
+    def launch(function) -> None:
         if pool is None:
             for z0, z1 in spans:
-                phase(z0, z1)
+                function(z0, z1)
         else:
-            for future in [pool.submit(phase, z0, z1) for z0, z1 in spans]:
+            for future in [pool.submit(function, z0, z1) for z0, z1 in spans]:
                 future.result()
 
     try:
-        launch(primitive)
-        check_positive(store.interior("p"), "pressure", step, stage)
-        for name in PRIMITIVE_ARRAYS:
-            store.exchange(name)
-        for stmt, phase in zip(plan.work_phase, work):
-            launch(phase)
-            if stmt.target in plan.exchanged_arrays:
-                store.exchange(stmt.target)
-        launch(point)
+        for index, (phase, function) in enumerate(zip(plan.phases, functions)):
+            launch(function)
+            if index == 0:
+                check_positive(store.interior("p"), "pressure", step, stage)
+            for name in phase.exchange:
+                store.exchange(name)
     finally:
         if pool is not None:
             pool.shutdown()

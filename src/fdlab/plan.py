@@ -9,6 +9,11 @@ from census nodes to leaves, and the stencil expansion itself is
 ``stencils.discretize`` under that map; this module only orders the
 resulting statements into phases and counts them.
 
+The phases are the plan's launch schedule, the same for every backend:
+``fd_primitive``, one ``fd_work_{i}`` per stored derivative array, then
+``fd_point``. Each phase lists the arrays it writes that some statement
+reads at a neighbour point; their halos are refreshed after it runs.
+
 Operation counting normalization: ``ops_per_point`` sums the arithmetic
 of every statement expression plus one operation per scalar local
 assignment (a register move). Stores to global arrays are not counted
@@ -25,7 +30,7 @@ from enum import Enum
 
 from . import expr as ex
 from . import stencils
-from .equations import EquationSet, PRIMITIVE_ARRAYS, Statement
+from .equations import EquationSet, Statement
 from .errors import PlanError
 
 
@@ -54,19 +59,30 @@ class PlanCounters:
 
 
 @dataclass(frozen=True)
+class Phase:
+    """One kernel launch: the C function name, the statements it runs at
+    every interior point, and the arrays whose halos are refreshed after
+    it."""
+
+    name: str
+    statements: tuple[Statement, ...]
+    exchange: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class KernelPlan:
     policy: StoragePolicy
     h: float
-    primitive_phase: tuple[Statement, ...]
-    work_phase: tuple[Statement, ...]
-    point_phase: tuple[Statement, ...]
+    #: The launch schedule: primitive, one phase per work array, point.
+    phases: tuple[Phase, ...]
     counters: PlanCounters
-    #: Work arrays some statement reads at a nonzero offset: execute_plan
-    #: refreshes each one's halo right after the statement that writes it.
-    exchanged_arrays: frozenset[str]
 
-    def work_array_names(self) -> tuple[str, ...]:
-        return tuple(s.target for s in self.work_phase)
+    @property
+    def arrays(self) -> tuple[str, ...]:
+        """The solution fields, then every array a phase writes, in launch
+        order: the pointer table of the compiled kernel."""
+        written = [s.array for p in self.phases for s in p.statements if s.array]
+        return tuple(dict.fromkeys([*ex.COMPONENT_NAMES, *written]))
 
 
 def _coerce_policy(policy) -> StoragePolicy:
@@ -113,50 +129,58 @@ def _velocity_group(entry) -> int:
     return min(found, default=3)
 
 
-def _validate(plan_stmts, work_names: set[str]) -> None:
-    assigned: set[str] = set()
-    for s in plan_stmts:
-        for ref in ex.references(s.expr):
-            if isinstance(ref, ex.LocalRef):
-                if ref.name not in assigned:
-                    raise PlanError(
-                        f"local {ref.name!r} read before assignment in per-point phase"
-                    )
-            elif not (
-                ref.array in work_names
-                or ref.array in PRIMITIVE_ARRAYS
-                or ref.array in ex.COMPONENT_NAMES
-            ):
-                raise PlanError(f"array {ref.array!r} read but never written")
-        if s.kind == "local":
-            assigned.add(s.target)
+def _schedule(groups) -> tuple[tuple[Phase, ...], PlanCounters]:
+    """Check and count the (name, statements) groups in launch order, and
+    give each phase the arrays it writes that some statement reads at a
+    nonzero offset.
 
-
-def _count_plan(primitive, work, point) -> tuple[PlanCounters, frozenset[str]]:
-    """The plan's counters, and the work arrays read at a nonzero offset."""
+    A local must be assigned earlier in its own phase; an array must be a
+    solution field or written by an earlier statement.
+    """
     ops = 0
     reads = 0
     writes = 0
+    written = set(ex.COMPONENT_NAMES)
     offset_reads: set[str] = set()
-    for stmt in (*primitive, *work, *point):
-        ops += ex.count_ops(stmt.expr).total()
-        if stmt.kind == "local":
-            ops += 1
-        else:
-            writes += 1
-        for ref in ex.references(stmt.expr):
-            if isinstance(ref, ex.WorkRef):
+    for name, statements in groups:
+        assigned: set[str] = set()
+        for stmt in statements:
+            for ref in ex.references(stmt.expr):
+                if isinstance(ref, ex.LocalRef):
+                    if ref.name not in assigned:
+                        raise PlanError(
+                            f"local {ref.name!r} read before assignment in {name}"
+                        )
+                    continue
+                if ref.array not in written:
+                    raise PlanError(f"array {ref.array!r} read before it is written")
                 reads += 1
                 if ref.offset != ex.ZERO_OFFSET:
                     offset_reads.add(ref.array)
+            ops += ex.count_ops(stmt.expr).total()
+            if stmt.array is None:
+                assigned.add(stmt.target)
+                ops += 1
+            else:
+                written.add(stmt.array)
+                writes += 1
+    phases = tuple(
+        Phase(
+            name,
+            statements,
+            tuple(s.array for s in statements if s.array in offset_reads),
+        )
+        for name, statements in groups
+    )
+    point = phases[-1].statements
     counters = PlanCounters(
-        extra_arrays=len(work),
+        extra_arrays=len(phases) - 2,
         locals=sum(1 for s in point if s.kind == "local"),
         ops_per_point=ops,
         global_reads_per_point=reads,
         global_writes_per_point=writes,
     )
-    return counters, frozenset(offset_reads.intersection(s.target for s in work))
+    return phases, counters
 
 
 def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
@@ -195,20 +219,14 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
         Statement("residual", name, stencils.discretize(residual, h, stored))
         for name, residual in zip(ex.COMPONENT_NAMES, eqset.residuals)
     ]
-    point = tuple(point)
 
-    _validate(point, {s.target for s in work})
-    counters, exchanged = _count_plan(eqset.primitives, work, point)
-
-    return KernelPlan(
-        policy=policy,
-        h=h,
-        primitive_phase=eqset.primitives,
-        work_phase=work,
-        point_phase=point,
-        counters=counters,
-        exchanged_arrays=exchanged,
-    )
+    groups = [
+        ("fd_primitive", eqset.primitives),
+        *((f"fd_work_{i}", (stmt,)) for i, stmt in enumerate(work)),
+        ("fd_point", tuple(point)),
+    ]
+    phases, counters = _schedule(groups)
+    return KernelPlan(policy=policy, h=h, phases=phases, counters=counters)
 
 
 def dump_plan(plan: KernelPlan) -> str:
@@ -218,9 +236,9 @@ def dump_plan(plan: KernelPlan) -> str:
         "h": plan.h,
         "counters": asdict(plan.counters),
         "phases": {
-            "primitive": [_stmt_doc(s) for s in plan.primitive_phase],
-            "work": [_stmt_doc(s) for s in plan.work_phase],
-            "point": [_stmt_doc(s) for s in plan.point_phase],
+            "primitive": [_stmt_doc(s) for s in plan.phases[0].statements],
+            "work": [_stmt_doc(s) for p in plan.phases[1:-1] for s in p.statements],
+            "point": [_stmt_doc(s) for s in plan.phases[-1].statements],
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -40,6 +40,17 @@ def bind_solution(h, point, comps):
     )
 
 
+def statements(plan, group):
+    """The plan's statements in one of dump_plan's groups: 'primitive' is
+    the first phase, 'work' the phases between, 'point' the last."""
+    phases = {
+        "primitive": plan.phases[:1],
+        "work": plan.phases[1:-1],
+        "point": plan.phases[-1:],
+    }[group]
+    return tuple(s for phase in phases for s in phase.statements)
+
+
 def spacing(n):
     return 2.0 * math.pi / n
 

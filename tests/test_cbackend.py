@@ -203,10 +203,12 @@ def test_source_uses_exact_literals_and_left_folds(eqset):
 def test_plan_the_generator_cannot_express_runs_on_numpy(eqset, tmp_path):
     # A work statement that taps its own target has no single-pass C form.
     plan = build_plan(eqset, "rs", Grid(8).h)
-    first = plan.work_phase[0]
+    primitive, work, *rest = plan.phases
+    first = work.statements[0]
     tapped = ex.add(first.expr, ex.array(first.target, (1, 0, 0)))
-    work = (Statement("array", first.target, tapped),) + plan.work_phase[1:]
-    odd = dataclasses.replace(plan, work_phase=work)
+    tapped_stmt = Statement("array", first.target, tapped)
+    work = dataclasses.replace(work, statements=(tapped_stmt,))
+    odd = dataclasses.replace(plan, phases=(primitive, work, *rest))
     kernel = cbackend.KernelCache(tmp_path).lookup(odd, 8)
     assert kernel.backend == "numpy"
     assert kernel.reason.startswith("code generation:")

@@ -14,7 +14,7 @@ from fdlab import plan as pl
 from fdlab.errors import PlanError
 from fdlab.grid import Grid
 
-from conftest import GridBindings
+from conftest import GridBindings, statements
 
 H = 2.0 * math.pi / 16
 VARIANTS = ("bl", "rs", "ss", "ra", "sn", "sn2")
@@ -51,14 +51,14 @@ class TestCounters:
 
     def test_work_array_writes(self, plans):
         for v, want in zip(VARIANTS, [63, 9, 9, 0, 0, 0]):
-            assert len(plans[v].work_phase) == want
+            assert len(statements(plans[v], "work")) == want
             assert plans[v].counters.extra_arrays == want
 
     def test_budget_bound(self, plans):
         for p in plans.values():
             c = p.counters
             assert c.locals + c.extra_arrays <= 63 + 9
-            residuals = [s for s in p.point_phase if s.kind == "residual"]
+            residuals = [s for s in statements(p, "point") if s.kind == "residual"]
             assert [s.target for s in residuals] == list(ex.COMPONENT_NAMES)
 
     def test_timestep_scaling(self, plans):
@@ -74,30 +74,30 @@ class TestCounters:
 class TestStructure:
     def test_no_derivatives_survive(self, plans):
         for p in plans.values():
-            for s in (*p.primitive_phase, *p.work_phase, *p.point_phase):
+            for s in (st for phase in p.phases for st in phase.statements):
                 assert not any(
                     isinstance(n, ex.Derivative) for n in ex.walk(s.expr)
                 ), (p.policy, s.target)
 
     def test_work_phase_reads_no_locals(self, plans):
         for p in plans.values():
-            for s in p.work_phase:
+            for s in statements(p, "work"):
                 assert not any(
                     isinstance(r, ex.LocalRef) for r in ex.references(s.expr)
                 )
 
     def test_ss_locals_follow_enumeration_order(self, eqset, plans):
         names = [d.name for d in eqset.derivatives if not d.is_velocity_gradient]
-        got = [s.target for s in plans["ss"].point_phase if s.kind == "local"]
+        got = [s.target for s in statements(plans["ss"], "point") if s.kind == "local"]
         assert got == names
 
     def test_sn_locals_follow_enumeration_order(self, eqset, plans):
         names = [d.name for d in eqset.derivatives]
-        got = [s.target for s in plans["sn"].point_phase if s.kind == "local"]
+        got = [s.target for s in statements(plans["sn"], "point") if s.kind == "local"]
         assert got == names
 
     def test_mixed_derivative_chains_from_stored_gradient(self, plans):
-        stmt = {s.target: s for s in plans["bl"].work_phase}["d_u1_x0x1"]
+        stmt = {s.target: s for s in statements(plans["bl"], "work")}["d_u1_x0x1"]
         assert ex.count_ops(stmt.expr).total() == 7
         reads = {
             (r.array, r.offset)
@@ -109,7 +109,7 @@ class TestStructure:
     def test_mixed_derivative_fully_expands_without_arrays(self, plans):
         stmt = {
             s.target: s
-            for s in plans["sn"].point_phase
+            for s in statements(plans["sn"], "point")
             if s.kind == "local"
         }["d_u1_x0x1"]
         assert ex.count_ops(stmt.expr).total() == 35
@@ -119,35 +119,63 @@ class TestStructure:
         }
         assert names == {"u1"}
 
-    def test_exchanged_arrays(self, plans):
-        diag = frozenset({"d_u0_x0", "d_u1_x1", "d_u2_x2"})
-        for v in ("bl", "rs", "ss"):
-            assert plans[v].exchanged_arrays == diag
-        for v in ("ra", "sn", "sn2"):
-            assert plans[v].exchanged_arrays == frozenset()
+    def test_halo_schedule(self, plans):
+        primitives = ("fd_primitive", ("u0", "u1", "u2", "p", "T"))
+        diag = [(f"d_u{i}_x{i}",) for i in range(3)]
+        want = {
+            "bl": [primitives, *zip(("fd_work_3", "fd_work_4", "fd_work_5"), diag)],
+            "rs": [primitives, *zip(("fd_work_0", "fd_work_1", "fd_work_2"), diag)],
+            "ss": [primitives, *zip(("fd_work_0", "fd_work_1", "fd_work_2"), diag)],
+            "ra": [primitives],
+            "sn": [primitives],
+            "sn2": [primitives],
+        }
+        for v in VARIANTS:
+            got = [(p.name, p.exchange) for p in plans[v].phases if p.exchange]
+            assert got == want[v], v
+
+    def test_exchanges_per_evaluation(self, plans):
+        # The 5 solution fields on entry, then each phase's exchange list.
+        for v, want in zip(VARIANTS, [13, 13, 13, 10, 10, 10]):
+            assert 5 + sum(len(p.exchange) for p in plans[v].phases) == want, v
+
+    def test_launch_order_and_arrays(self, plans):
+        residuals = tuple("res_" + c for c in ex.COMPONENT_NAMES)
+        for v, work in zip(VARIANTS, [63, 9, 9, 0, 0, 0]):
+            p = plans[v]
+            names = [phase.name for phase in p.phases]
+            assert names == [
+                "fd_primitive", *(f"fd_work_{i}" for i in range(work)), "fd_point"
+            ]
+            assert p.arrays == (
+                *ex.COMPONENT_NAMES,
+                *eq.PRIMITIVE_ARRAYS,
+                *(s.target for s in statements(p, "work")),
+                *residuals,
+            )
 
 
 class TestReplicatedOrdering:
     def test_sn2_same_local_multiset(self, plans):
-        sn = Counter(
-            (s.target, s.expr) for s in plans["sn"].point_phase if s.kind == "local"
-        )
-        sn2 = Counter(
-            (s.target, s.expr) for s in plans["sn2"].point_phase if s.kind == "local"
-        )
+        sn_locals = [s for s in statements(plans["sn"], "point") if s.kind == "local"]
+        sn2_locals = [s for s in statements(plans["sn2"], "point") if s.kind == "local"]
+        sn = Counter((s.target, s.expr) for s in sn_locals)
+        sn2 = Counter((s.target, s.expr) for s in sn2_locals)
         assert sn == sn2
-        order_sn = [s.target for s in plans["sn"].point_phase if s.kind == "local"]
-        order_sn2 = [s.target for s in plans["sn2"].point_phase if s.kind == "local"]
+        order_sn = [s.target for s in sn_locals]
+        order_sn2 = [s.target for s in sn2_locals]
         assert order_sn != order_sn2
 
     def test_sn2_residuals_identical_to_sn(self, plans):
-        res_sn = [s for s in plans["sn"].point_phase if s.kind == "residual"]
-        res_sn2 = [s for s in plans["sn2"].point_phase if s.kind == "residual"]
+        res_sn = [s for s in statements(plans["sn"], "point") if s.kind == "residual"]
+        res_sn2 = [s for s in statements(plans["sn2"], "point") if s.kind == "residual"]
         assert res_sn == res_sn2
 
     def test_sn2_velocity_groups(self, eqset, plans):
         entries = {d.name: d for d in eqset.derivatives}
-        order = [s.target for s in plans["sn2"].point_phase if s.kind == "local"]
+        order = [
+            s.target for s in statements(plans["sn2"], "point") if s.kind == "local"
+        ]
         groups = [pl._velocity_group(entries[name]) for name in order]
         assert groups == sorted(groups)
         sizes = Counter(groups)
@@ -156,7 +184,9 @@ class TestReplicatedOrdering:
     def test_sn2_stable_within_groups(self, eqset, plans):
         entries = {d.name: d for d in eqset.derivatives}
         census_pos = {d.name: i for i, d in enumerate(eqset.derivatives)}
-        order = [s.target for s in plans["sn2"].point_phase if s.kind == "local"]
+        order = [
+            s.target for s in statements(plans["sn2"], "point") if s.kind == "local"
+        ]
         for g in range(4):
             members = [n for n in order if pl._velocity_group(entries[n]) == g]
             assert members == sorted(members, key=census_pos.__getitem__)
@@ -173,7 +203,7 @@ class TestRecomputationCost:
                     uses[node] += 1
         local_cost = {
             s.target: ex.count_ops(s.expr).total()
-            for s in plans["ss"].point_phase
+            for s in statements(plans["ss"], "point")
             if s.kind == "local"
         }
         entries = {d.name: d for d in eqset.derivatives}
@@ -239,10 +269,19 @@ class TestValidation:
         with pytest.raises(PlanError, match="63"):
             pl.build_plan(clipped, "bl", H)
 
+    def test_array_read_before_it_is_written(self, eqset):
+        import dataclasses
+
+        *head, p, t = eqset.primitives
+        assert (p.target, t.target) == ("p", "T")
+        swapped = dataclasses.replace(eqset, primitives=(*head, t, p))
+        with pytest.raises(PlanError, match="array 'p' read before it is written"):
+            pl.build_plan(swapped, "sn", H)
+
 
 def _inline_residuals(p):
-    arr_defs = {s.target: s.expr for s in p.work_phase}
-    loc_defs = {s.target: s.expr for s in p.point_phase if s.kind == "local"}
+    arr_defs = {s.target: s.expr for s in statements(p, "work")}
+    loc_defs = {s.target: s.expr for s in statements(p, "point") if s.kind == "local"}
 
     def subst(node):
         if isinstance(node, ex.WorkRef) and node.array in arr_defs:
@@ -261,7 +300,11 @@ def _inline_residuals(p):
             return ex.intpow(subst(node.base), node.exponent)
         return node
 
-    return {s.target: subst(s.expr) for s in p.point_phase if s.kind == "residual"}
+    return {
+        s.target: subst(s.expr)
+        for s in statements(p, "point")
+        if s.kind == "residual"
+    }
 
 
 class TestSemanticEquivalence:
