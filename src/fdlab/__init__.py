@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .bench import (
     BASELINE,
-    VARIANT_ORDER,
     aggregate,
     compute_ratios,
     emit_reports,
@@ -36,7 +35,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .plan import KernelPlan, PlanCounters, StoragePolicy, build_plan, dump_plan
+from .plan import VARIANTS, KernelPlan, PlanCounters, build_plan, dump_plan
 from .power import (
     CommandSource,
     CounterFileSource,
@@ -44,7 +43,6 @@ from .power import (
     NullSource,
     PowerSample,
     PowerSource,
-    integrate_energy,
     monitor_sample,
     parse_power_spec,
     summarize,
@@ -83,8 +81,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "StateError",
-    "StoragePolicy",
-    "VARIANT_ORDER",
+    "VARIANTS",
     "aggregate",
     "build_equations",
     "build_plan",
@@ -100,7 +97,6 @@ __all__ = [
     "grid_sum",
     "init_tgv",
     "integral_diagnostics",
-    "integrate_energy",
     "monitor_sample",
     "parse_power_spec",
     "read_snapshot",

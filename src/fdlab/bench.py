@@ -19,11 +19,9 @@ import numpy as np
 from . import __version__, cbackend
 from .errors import ReportError
 from .expr import COMPONENT_NAMES
-from .plan import StoragePolicy
+from .plan import VARIANTS
 from .power import IterationRecord
 from .solver import RunConfig, run
-
-VARIANT_ORDER = tuple(policy.value for policy in StoragePolicy)
 
 BASELINE = "bl"
 
@@ -84,7 +82,7 @@ class BenchReport:
 
 def _variant_rank(variant: str) -> int:
     try:
-        return VARIANT_ORDER.index(variant)
+        return list(VARIANTS).index(variant)
     except ValueError:
         raise ReportError(f"unknown variant {variant!r}") from None
 
@@ -233,7 +231,7 @@ def validate_mode(config: RunConfig) -> ValidationReport:
     solutions: dict[str, dict[str, np.ndarray]] = {}
     messages: list[str] = []
     failed = False
-    for variant in VARIANT_ORDER:
+    for variant in VARIANTS:
         try:
             result = run(replace(config, policy=variant, snapshot_every=0))
         except Exception as err:

@@ -220,7 +220,7 @@ def generate_source(plan: KernelPlan, n: int) -> str:
         for phase in plan.phases
     ]
     header = (
-        f"/* fdlab kernel: policy {plan.policy.value}, n={n}, h={plan.h!r}.\n"
+        f"/* fdlab kernel: policy {plan.policy}, n={n}, h={plan.h!r}.\n"
         f"   Pointer table: {' '.join(table)} */\n"
     )
     return "\n".join(
@@ -349,7 +349,7 @@ class KernelCache:
         return kernel
 
     def _load(self, plan: KernelPlan, n: int) -> Kernel:
-        kernel = Kernel(plan.policy.value, n)
+        kernel = Kernel(plan.policy, n)
         try:
             source = generate_source(plan, n)
         except UnsupportedPlan as err:

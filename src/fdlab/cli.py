@@ -14,17 +14,11 @@ import shlex
 import sys
 from dataclasses import astuple, fields
 
-from .bench import (
-    VARIANT_ORDER,
-    AggregateRow,
-    emit_reports,
-    run_matrix,
-    validate_mode,
-)
+from .bench import AggregateRow, emit_reports, run_matrix, validate_mode
 from .equations import build_equations
 from .errors import FdlabError, PowerError
 from .grid import Grid
-from .plan import build_plan, dump_plan
+from .plan import VARIANTS, build_plan, dump_plan
 from .power import parse_power_spec
 from .solver import RunConfig
 
@@ -39,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--variant",
-        choices=VARIANT_ORDER + ("all",),
+        choices=(*VARIANTS, "all"),
         default="all",
         help="storage variant to run, or all six (default: all)",
     )
@@ -128,7 +122,7 @@ def parse_config(argv=None) -> tuple[RunConfig, argparse.Namespace]:
 
 def _selected_variants(options) -> list[str]:
     if options.variant == "all":
-        return list(VARIANT_ORDER)
+        return list(VARIANTS)
     return [options.variant]
 
 
@@ -153,7 +147,7 @@ def _emit_plan(config: RunConfig, options) -> int:
 
 def _run_validation(config: RunConfig, options) -> int:
     print(
-        f"validating {len(VARIANT_ORDER)} variants at n={config.n}"
+        f"validating {len(VARIANTS)} variants at n={config.n}"
         f" for {config.steps} steps"
     )
     report = validate_mode(config)

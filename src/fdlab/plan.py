@@ -4,10 +4,10 @@ A plan fixes, for every distinct derivative, whether its value lives in
 a global work array, in a per-point local, or is re-expanded inline at
 each textual use. That single decision is what separates the six
 variants; the primitive phase and the residual arithmetic around the
-derivatives are identical everywhere. The policy states it as a map
-from census nodes to leaves, and the stencil expansion itself is
-``stencils.discretize`` under that map; this module only orders the
-resulting statements into phases and counts them.
+derivatives are identical everywhere. ``VARIANTS`` states it, one row
+per variant; the row becomes a map from census nodes to leaves, and the
+stencil expansion itself is ``stencils.discretize`` under that map; this
+module only orders the resulting statements into phases and counts them.
 
 The phases are the plan's launch schedule, the same for every backend:
 ``fd_primitive``, one ``fd_work_{i}`` per stored derivative array, then
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from enum import Enum
 
 from . import expr as ex
 from . import stencils
@@ -34,15 +33,20 @@ from .equations import EquationSet, Statement
 from .errors import PlanError
 
 
-class StoragePolicy(Enum):
-    """The six derivative-storage strategies."""
+#: The six variants in report order. Each row says where a velocity
+#: gradient lives, where every other census derivative lives (``"array"``,
+#: ``"local"``, or None: re-expanded at each use), and whether the point
+#: phase groups its locals by velocity component.
+VARIANTS = {
+    "bl": ("array", "array", False),
+    "rs": ("array", None, False),
+    "ss": ("array", "local", False),
+    "ra": (None, None, False),
+    "sn": ("local", "local", False),
+    "sn2": ("local", "local", True),
+}
 
-    BL = "bl"
-    RS = "rs"
-    SS = "ss"
-    RA = "ra"
-    SN = "sn"
-    SN2 = "sn2"
+_LEAF = {"array": ex.array, "local": ex.local}
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class Phase:
 
 @dataclass(frozen=True)
 class KernelPlan:
-    policy: StoragePolicy
+    policy: str
     h: float
     #: The launch schedule: primitive, one phase per work array, point.
     phases: tuple[Phase, ...]
@@ -85,30 +89,14 @@ class KernelPlan:
         return tuple(dict.fromkeys([*ex.COMPONENT_NAMES, *written]))
 
 
-def _coerce_policy(policy) -> StoragePolicy:
-    if isinstance(policy, StoragePolicy):
-        return policy
-    try:
-        return StoragePolicy(str(policy).lower())
-    except ValueError:
-        raise PlanError(f"unknown storage policy {policy!r}") from None
-
-
-def _storage_assignment(eqset: EquationSet, policy: StoragePolicy):
+def _storage_assignment(eqset: EquationSet, gradient: str | None, other: str | None):
     """Map each census derivative node to the leaf that holds its value:
     ``ex.array(name)`` or ``ex.local(name)``; unstored nodes are absent."""
     storage: dict[ex.Derivative, ex.Expr] = {}
     for entry in eqset.derivatives:
-        if policy is StoragePolicy.BL:
-            storage[entry.node] = ex.array(entry.name)
-        elif policy in (StoragePolicy.RS, StoragePolicy.SS):
-            if entry.is_velocity_gradient:
-                storage[entry.node] = ex.array(entry.name)
-            elif policy is StoragePolicy.SS:
-                storage[entry.node] = ex.local(entry.name)
-        elif policy in (StoragePolicy.SN, StoragePolicy.SN2):
-            storage[entry.node] = ex.local(entry.name)
-        # RA stores nothing
+        where = gradient if entry.is_velocity_gradient else other
+        if where is not None:
+            storage[entry.node] = _LEAF[where](entry.name)
     return storage
 
 
@@ -183,9 +171,11 @@ def _schedule(groups) -> tuple[tuple[Phase, ...], PlanCounters]:
     return phases, counters
 
 
-def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
-    """Lower the equation set under one storage policy at spacing h."""
-    policy = _coerce_policy(policy)
+def build_plan(eqset: EquationSet, policy: str, h: float) -> KernelPlan:
+    """Lower the equation set under one ``VARIANTS`` row at spacing h."""
+    if policy not in VARIANTS:
+        raise PlanError(f"unknown storage policy {policy!r}")
+    gradient, other, grouped = VARIANTS[policy]
     if h <= 0:
         raise PlanError(f"grid spacing must be positive, got {h}")
     if len(eqset.derivatives) != 63:
@@ -195,7 +185,7 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
     if sum(d.is_velocity_gradient for d in eqset.derivatives) != 9:
         raise PlanError("expected 9 velocity-gradient members in the census")
 
-    stored = _storage_assignment(eqset, policy)
+    stored = _storage_assignment(eqset, gradient, other)
 
     work = tuple(
         Statement("array", entry.name, stencils.expand(entry.node, h, stored))
@@ -208,7 +198,7 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
         for entry in eqset.derivatives
         if isinstance(stored.get(entry.node), ex.LocalRef)
     ]
-    if policy is StoragePolicy.SN2:
+    if grouped:
         local_entries.sort(key=_velocity_group)
 
     point = [
@@ -232,7 +222,7 @@ def build_plan(eqset: EquationSet, policy, h: float) -> KernelPlan:
 def dump_plan(plan: KernelPlan) -> str:
     """Deterministic JSON document describing the plan."""
     doc = {
-        "policy": plan.policy.value,
+        "policy": plan.policy,
         "h": plan.h,
         "counters": asdict(plan.counters),
         "phases": {

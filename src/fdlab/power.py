@@ -124,9 +124,10 @@ class CounterFileSource(PowerSource):
 class CommandSource(PowerSource):
     """Child process printing one decimal Watt value per line.
 
-    A reader thread drains stdout into a one-slot queue; read() waits up
-    to the timeout for the first value and afterwards returns the latest
-    one without blocking on the child.
+    A reader thread drains stdout into a one-slot queue; the first read()
+    waits up to the timeout for a value, and every read returns the latest
+    one without blocking on the child, so a silent child costs one timeout.
+    A program that cannot be started makes every read() fail at once.
     """
 
     kind = "cmd"
@@ -137,13 +138,20 @@ class CommandSource(PowerSource):
         self._argv = tuple(argv)
         self._timeout = timeout
         self._latest: deque[float] = deque(maxlen=1)
-        self._first_value = threading.Event()
-        self._proc = subprocess.Popen(
-            self._argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
+        #: Set by the first value or by the end of the first read's wait.
+        self._ready = threading.Event()
+        self._proc: subprocess.Popen | None = None
+        self._failure: str | None = None
+        try:
+            self._proc = subprocess.Popen(
+                self._argv,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+            )
+        except OSError as err:
+            self._failure = f"cannot start {self._argv[0]!r}: {err}"
+            return
         self._reader = threading.Thread(target=self._drain, daemon=True)
         self._reader.start()
 
@@ -158,17 +166,20 @@ class CommandSource(PowerSource):
             except ValueError:
                 continue
             self._latest.append(value)
-            self._first_value.set()
+            self._ready.set()
 
     def read(self) -> PowerSample:
-        self._first_value.wait(self._timeout)
+        if self._failure is not None:
+            raise PowerError(self._failure)
+        self._ready.wait(self._timeout)
+        self._ready.set()
         t = time.perf_counter()
         if not self._latest:
             raise PowerError(f"no power value from {self._argv[0]!r} yet")
         return PowerSample(t=t, power=self._latest[-1])
 
     def close(self) -> None:
-        if self._proc.poll() is None:
+        if self._proc is not None and self._proc.poll() is None:
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=1.0)
@@ -241,7 +252,7 @@ def monitor_sample(source: PowerSource) -> PowerSample:
 
 
 class EnergyIntegrator:
-    """Feed samples one at a time; current() is cumulative Joules so far.
+    """Feed samples one at a time; update() returns cumulative Joules so far.
 
     Prefers the source's own cumulative counter; falls back to trapezoidal
     integration of power over time. Stays None until the samples carry
@@ -278,22 +289,6 @@ class EnergyIntegrator:
                 )
         self._previous = sample
         return self._total
-
-    def current(self) -> float | None:
-        return self._total
-
-
-def integrate_energy(samples) -> list[float]:
-    """Cumulative energy series, one entry per sample, first entry 0."""
-    samples = list(samples)
-    if len(samples) < 2:
-        raise PowerError(f"need at least 2 samples, got {len(samples)}")
-    integrator = EnergyIntegrator()
-    series = []
-    for sample in samples:
-        value = integrator.update(sample)
-        series.append(0.0 if value is None else value)
-    return series
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,6 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        policy = self.policy.value if hasattr(self.policy, "value") else self.policy
-        object.__setattr__(self, "policy", str(policy).lower())
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
         if self.repeats < 1:

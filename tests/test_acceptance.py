@@ -25,8 +25,8 @@ from fdlab.grid import (
     grid_sum,
     integral_diagnostics,
 )
-from fdlab.plan import StoragePolicy, build_plan, dump_plan
-from fdlab.power import CounterFileSource, PowerSample, integrate_energy
+from fdlab.plan import VARIANTS, build_plan, dump_plan
+from fdlab.power import CounterFileSource, EnergyIntegrator, PowerSample
 from fdlab.solver import (
     RunConfig,
     compute_timestep,
@@ -36,8 +36,6 @@ from fdlab.solver import (
     run,
 )
 from fdlab.stencils import first_derivative_stencil, second_derivative_stencil
-
-VARIANTS = tuple(p.value for p in StoragePolicy)
 
 PARAMS = FlowParams()
 
@@ -296,12 +294,16 @@ def test_criterion_08_vortex_initialization(capsys):
 def test_criterion_09_energy_integration(tmp_path, capsys, monkeypatch):
     failures = []
 
-    constant = [PowerSample(t=float(t), power=100.0) for t in range(11)]
-    if integrate_energy(constant)[-1] != 1000.0:
+    constant = EnergyIntegrator()
+    for t in range(11):
+        total = constant.update(PowerSample(t=float(t), power=100.0))
+    if total != 1000.0:
         failures.append("constant 100 W over 10 s != 1000 J")
 
-    ramp = [PowerSample(t=float(t), power=float(t)) for t in range(11)]
-    if integrate_energy(ramp)[-1] != 50.0:
+    ramp = EnergyIntegrator()
+    for t in range(11):
+        total = ramp.update(PowerSample(t=float(t), power=float(t)))
+    if total != 50.0:
         failures.append("linear ramp != 50 J")
 
     counter = tmp_path / "energy_uj"

@@ -11,7 +11,6 @@ from fdlab.bench import (
     AggregateRow,
     BenchReport,
     RunRow,
-    VARIANT_ORDER,
     aggregate,
     compute_ratios,
     emit_reports,
@@ -21,7 +20,7 @@ from fdlab.bench import (
 from fdlab.equations import FlowParams, build_equations
 from fdlab.errors import ReportError
 from fdlab.grid import FieldStore, Grid
-from fdlab.plan import build_plan
+from fdlab.plan import VARIANTS, build_plan
 from fdlab.power import IterationRecord, MockSource
 from fdlab.solver import RunConfig
 
@@ -193,7 +192,7 @@ class TestValidateMode:
     def test_vortex_variants_agree(self):
         report = validate_mode(RunConfig(n=16, steps=2))
         assert report.passed
-        assert set(report.deviations) == set(VARIANT_ORDER) - {"bl"}
+        assert set(report.deviations) == set(VARIANTS) - {"bl"}
         for per_component in report.deviations.values():
             assert max(per_component.values()) <= report.tolerance
 
@@ -298,14 +297,14 @@ class TestEmitReports:
         assert lines[2] == "1,0.5,100,50"
 
     def test_six_by_five_counts(self, tmp_path):
-        report = _mini_report(variants=VARIANT_ORDER, repeats=5)
+        report = _mini_report(variants=VARIANTS, repeats=5)
         emit_reports(report, tmp_path)
         assert len(list(tmp_path.glob("series_*.csv"))) == 30
         summary_lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(summary_lines) == 7
 
     def test_summary_carries_plan_counters(self, tmp_path):
-        report = _mini_report(variants=VARIANT_ORDER, repeats=1)
+        report = _mini_report(variants=VARIANTS, repeats=1)
         emit_reports(report, tmp_path)
         rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
         by_variant = {line.split(",")[0]: line.split(",") for line in rows}

@@ -16,10 +16,9 @@ from fdlab import executor as exe
 from fdlab.equations import FlowParams, build_equations
 from fdlab.grid import FieldStore, Grid
 from fdlab import expr as ex
-from fdlab.plan import Statement, build_plan
+from fdlab.plan import VARIANTS, Statement, build_plan
 from fdlab.solver import RunConfig, run
 
-VARIANTS = ("bl", "rs", "ss", "ra", "sn", "sn2")
 MISSING = "fdlab-missing-compiler"
 
 needs_compiler = pytest.mark.skipif(

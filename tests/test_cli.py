@@ -1,12 +1,14 @@
 """Command-line surface: flags, exit codes, and emitted files."""
 
 import json
+import logging
 
 import pytest
 
 from fdlab import cli
-from fdlab.bench import VARIANT_ORDER, ValidationReport
+from fdlab.bench import ValidationReport
 from fdlab.cli import main, parse_config
+from fdlab.plan import VARIANTS
 
 
 def _usage_error(argv):
@@ -77,7 +79,7 @@ class TestEmitPlan:
         path = tmp_path / "plans.txt"
         assert main(["--grid", "16", "--emit-plan", str(path)]) == 0
         text = path.read_text()
-        for variant in VARIANT_ORDER:
+        for variant in VARIANTS:
             assert f"### plan {variant}\n" in text
 
     def test_emission_is_byte_deterministic(self, tmp_path):
@@ -170,6 +172,24 @@ class TestBenchmarks:
         assert code == 0
         series = (out / "series_bl_rep1.csv").read_text().splitlines()
         assert [row.split(",")[2:] for row in series[1:]] == [["", ""]] * 2
+
+    def test_unstartable_meter_degrades(self, tmp_path, caplog):
+        out = tmp_path / "results"
+        with caplog.at_level(logging.WARNING, logger="fdlab.power"):
+            code = main(
+                [
+                    "--variant", "sn",
+                    "--grid", "8",
+                    "--steps", "2",
+                    "--repeats", "1",
+                    "--power-source", f"cmd:{tmp_path / 'no-such-meter'}",
+                    "--out", str(out),
+                ]
+            )
+        assert code == 0
+        assert (out / "runs.csv").exists()
+        warnings = [r.getMessage() for r in caplog.records if r.name == "fdlab.power"]
+        assert len(warnings) == 1 and "degraded" in warnings[0]
 
     def test_non_baseline_variant_runs_without_speedup(self, tmp_path):
         out = tmp_path / "results"

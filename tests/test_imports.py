@@ -1,6 +1,7 @@
 """Source hygiene: every module uses each name it imports, every private
-module-level definition is read somewhere in the package, and every
-attribute read from a sibling module exists."""
+module-level definition is read somewhere in the package, every
+attribute read from a sibling module exists, and ``fdlab.__all__`` lists
+exactly what the package re-exports."""
 
 import ast
 import importlib
@@ -125,3 +126,20 @@ def test_sibling_module_attributes_exist():
         if not hasattr(importlib.import_module(f"fdlab.{module}"), attr)
     ]
     assert not missing, f"attributes the imported module lacks: {missing}"
+
+
+def test_exports_are_pinned():
+    # A name removed from the package but left in __all__ breaks
+    # ``from fdlab import *``; a re-export missing from it is invisible.
+    exported = fdlab.__all__
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    assert [n for n in exported if not hasattr(fdlab, n)] == []
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert imported
+    assert sorted(n for n in imported - set(exported) if not n.startswith("_")) == []

@@ -13,11 +13,11 @@ from fdlab import expr as ex
 from fdlab import plan as pl
 from fdlab.errors import PlanError
 from fdlab.grid import Grid
+from fdlab.plan import VARIANTS
 
 from conftest import GridBindings, statements
 
 H = 2.0 * math.pi / 16
-VARIANTS = ("bl", "rs", "ss", "ra", "sn", "sn2")
 
 
 @pytest.fixture(scope="module")
@@ -254,9 +254,10 @@ class TestDump:
 
 
 class TestValidation:
-    def test_unknown_policy(self, eqset):
+    @pytest.mark.parametrize("policy", ["fast", "SN2"])
+    def test_unknown_policy(self, eqset, policy):
         with pytest.raises(PlanError, match="unknown storage policy"):
-            pl.build_plan(eqset, "fast", H)
+            pl.build_plan(eqset, policy, H)
 
     def test_bad_spacing(self, eqset):
         with pytest.raises(PlanError):
@@ -318,7 +319,7 @@ class TestSemanticEquivalence:
         }
         baseline = _inline_residuals(plans["bl"])
         points = [(0, 0, 0), (3, 5, 1), (7, 2, 6)]
-        for v in VARIANTS[1:]:
+        for v in list(VARIANTS)[1:]:
             inlined = _inline_residuals(plans[v])
             for target in ex.COMPONENT_NAMES:
                 for point in points:

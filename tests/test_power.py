@@ -2,6 +2,7 @@
 
 import logging
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from fdlab.power import (
     NullSource,
     PowerSample,
     PowerSource,
-    integrate_energy,
     monitor_sample,
     parse_power_spec,
     summarize,
@@ -142,6 +142,26 @@ class TestCommandSource:
         with pytest.raises(PowerError, match="command"):
             CommandSource([])
 
+    def test_missing_program_degrades(self, tmp_path, caplog):
+        with CommandSource([str(tmp_path / "no-such-meter")]) as src:
+            with pytest.raises(PowerError, match="cannot start"):
+                src.read()
+            with caplog.at_level(logging.WARNING, logger="fdlab.power"):
+                sample = monitor_sample(src)
+        assert sample.power is None and sample.cumulative_energy is None
+        assert "degraded" in caplog.records[0].getMessage()
+
+    def test_silent_child_costs_one_timeout(self):
+        script = "import time; time.sleep(30)"
+        with CommandSource([sys.executable, "-c", script], timeout=1.0) as src:
+            with pytest.raises(PowerError, match="no power value"):
+                src.read()
+            start = time.perf_counter()
+            for _ in range(3):
+                with pytest.raises(PowerError, match="no power value"):
+                    src.read()
+            assert time.perf_counter() - start < 1.5
+
 
 class TestParseSpec:
     @pytest.mark.parametrize("spec", ["", "none", "null"])
@@ -216,7 +236,6 @@ class TestEnergyIntegrator:
         for t in range(11):
             total = integ.update(PowerSample(t=float(t), power=100.0))
         assert total == 1000.0
-        assert integ.current() == 1000.0
 
     def test_prefers_cumulative_counter_over_power(self):
         integ = EnergyIntegrator()
@@ -240,13 +259,18 @@ class TestEnergyIntegrator:
         integ = EnergyIntegrator()
         assert integ.update(PowerSample(t=0.0)) is None
         assert integ.update(PowerSample(t=1.0)) is None
-        assert integ.current() is None
+
+
+def _integrate(samples) -> list:
+    """What EnergyIntegrator.update returns after each sample."""
+    integrator = EnergyIntegrator()
+    return [integrator.update(sample) for sample in samples]
 
 
 class TestIntegrateEnergy:
     def test_constant_100w_over_10s_is_1000j(self):
         samples = [PowerSample(t=float(t), power=100.0) for t in range(11)]
-        series = integrate_energy(samples)
+        series = _integrate(samples)
         assert len(series) == 11
         assert series[0] == 0.0
         assert series[-1] == 1000.0
@@ -254,7 +278,7 @@ class TestIntegrateEnergy:
     def test_linear_ramp_exact(self):
         # power(t) = t for t = 0..10; trapezoid is exact on linear signals
         samples = [PowerSample(t=float(t), power=float(t)) for t in range(11)]
-        assert integrate_energy(samples)[-1] == 50.0
+        assert _integrate(samples)[-1] == 50.0
 
     def test_counter_samples_pass_through(self):
         samples = [
@@ -262,7 +286,7 @@ class TestIntegrateEnergy:
             PowerSample(t=1.0, cumulative_energy=0.25),
             PowerSample(t=2.0, cumulative_energy=1.0),
         ]
-        assert integrate_energy(samples) == [0.0, 0.25, 1.0]
+        assert _integrate(samples) == [0.0, 0.25, 1.0]
 
     def test_leading_sample_without_power_contributes_zero(self):
         samples = [
@@ -270,7 +294,7 @@ class TestIntegrateEnergy:
             PowerSample(t=1.0, power=100.0),
             PowerSample(t=2.0, power=100.0),
         ]
-        assert integrate_energy(samples) == [0.0, 0.0, 100.0]
+        assert _integrate(samples) == [None, 0.0, 100.0]
 
     def test_splitting_a_series_adds_up(self):
         samples = [
@@ -278,19 +302,15 @@ class TestIntegrateEnergy:
             PowerSample(t=1.0, power=5.0),
             PowerSample(t=2.0, power=7.0),
         ]
-        whole = integrate_energy(samples)[-1]
-        first = integrate_energy(samples[:2])[-1]
-        second = integrate_energy(samples[1:])[-1]
+        whole = _integrate(samples)[-1]
+        first = _integrate(samples[:2])[-1]
+        second = _integrate(samples[1:])[-1]
         assert first + second == whole == 10.0
-
-    def test_needs_two_samples(self):
-        with pytest.raises(PowerError, match="2 samples"):
-            integrate_energy([PowerSample(t=0.0, power=1.0)])
 
     def test_non_monotonic_times_rejected(self):
         samples = [PowerSample(t=1.0, power=1.0), PowerSample(t=0.5, power=1.0)]
         with pytest.raises(PowerError, match="increase"):
-            integrate_energy(samples)
+            _integrate(samples)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -303,7 +323,7 @@ class TestIntegrateEnergy:
         samples = [
             PowerSample(t=i * step, power=p) for i, p in enumerate(powers)
         ]
-        series = integrate_energy(samples)
+        series = _integrate(samples)
         assert all(b >= a for a, b in zip(series, series[1:]))
 
 
