@@ -19,17 +19,24 @@ The innermost (i) loop carries ``#pragma omp simd``, which
 it. The pragma asserts that iterations are independent, and they are:
 every array has one ``restrict`` pointer and ``_Emitter.array`` refuses a
 phase that reads its own target before writing it or at an offset, so
-each iteration touches only its own point of the arrays it writes, and
-the loop has no reduction. Each lane then performs the scalar code's
-IEEE operations in the same order, so the bits do not change; a scalar
-epilogue runs the points left over when n is not a multiple of the
-vector width.
+each iteration touches only its own point of the arrays it writes. The
+only reduction is an integer count (below), which is exact in any
+order. Each lane then performs the scalar code's IEEE operations in the
+same order, so the bits do not change; a scalar epilogue runs the points
+left over when n is not a multiple of the vector width.
 
-Every function takes the array of base pointers of the padded
+Every phase function takes the array of base pointers of the padded
 Fortran-order fields plus a range ``[k0, k1)`` of interior planes along
-axis 2, so the caller can split any phase across threads. The grid size
-is a compile-time constant: a plan's stencil weights already depend on
-the spacing, so a kernel is tied to one grid anyway.
+axis 2, so the caller can split any phase across threads. It returns how
+many non-finite values it stored into residual arrays, tested on the
+value still in its register. The grid size is a compile-time constant: a
+plan's stencil weights already depend on the spacing, so a kernel is
+tied to one grid anyway.
+
+The translation unit ends with ``fd_update``, one RK stage's update over
+the same k-ranges: ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
+``sol = sol + (bdt*acc)``, the numpy reference's operations in its
+order. Its pointer table is ``UPDATE_TABLE``.
 
 Built libraries are cached on disk under a per-user directory in the
 system temp dir, keyed by the sha256 of the generated source plus the
@@ -164,11 +171,36 @@ def _power_function(exponent: int) -> str:
     )
 
 
+def _function(signature, decls, body, n, reduction="") -> str:
+    """A C function of `signature` running `body` at every interior point
+    of planes [k0, k1), with the point's padded index in ``c``."""
+    p = n + 2 * HALO
+    origin = HALO * (1 + p + p * p)  # padded index of interior point (0, 0, 0)
+    return "\n".join(
+        [
+            signature,
+            "{",
+            *decls,
+            "    for (long k = k0; k < k1; ++k) {",
+            f"        {_NO_UNROLL}",
+            f"        for (long j = 0; j < {n}; ++j) {{",
+            f"            const long row = {origin} + {p}L * j + {p * p}L * k;",
+            f"            #pragma omp simd{reduction}",
+            f"            for (long i = 0; i < {n}; ++i) {{",
+            "                const long c = row + i;",
+            *(f"                {line}" for line in body),
+            "            }",
+            "        }",
+            "    }",
+        ]
+    )
+
+
 def _phase_function(name, statements, n, pointers, powers) -> str:
     """One C function running `statements` at every point of planes
-    [k0, k1); locals and arrays written here live in registers."""
-    p = n + 2 * HALO
-    emit = _Emitter(p, pointers, {s.array for s in statements} - {None})
+    [k0, k1); locals and arrays written here live in registers. It
+    returns how many non-finite values it stored into residual arrays."""
+    emit = _Emitter(n + 2 * HALO, pointers, {s.array for s in statements} - {None})
     body = []
     written = []
     for stmt in statements:
@@ -180,6 +212,8 @@ def _phase_function(name, statements, n, pointers, powers) -> str:
         register = f"v_{_ident(target)}"
         body.append(f"const double {register} = {value};")
         body.append(f"a_{target}[c] = {register};")
+        if stmt.kind == "residual":
+            body.append(f"nonfinite += !__builtin_isfinite({register});")
         emit.in_register[target] = register
         written.append(target)
     powers |= emit.powers
@@ -187,27 +221,49 @@ def _phase_function(name, statements, n, pointers, powers) -> str:
         f"    const double *restrict a_{array} = A[{pointers[array]}];"
         for array in sorted(emit.read, key=pointers.get)
     ] + [f"    double *restrict a_{t} = A[{pointers[t]}];" for t in written]
-    origin = HALO * (1 + p + p * p)  # padded index of interior point (0, 0, 0)
+    checked = any(s.kind == "residual" for s in statements)
     return "\n".join(
         [
-            f"void {name}(double *const *A, long k0, long k1)",
-            "{",
-            *decls,
-            "    for (long k = k0; k < k1; ++k) {",
-            f"        {_NO_UNROLL}",
-            f"        for (long j = 0; j < {n}; ++j) {{",
-            f"            const long row = {origin} + {p}L * j + {p * p}L * k;",
-            "            #pragma omp simd",
-            f"            for (long i = 0; i < {n}; ++i) {{",
-            "                const long c = row + i;",
-            *(f"                {line}" for line in body),
-            "            }",
-            "        }",
-            "    }",
+            _function(
+                f"long {name}(double *const *A, long k0, long k1)",
+                [*decls, "    long nonfinite = 0;"],
+                body,
+                n,
+                " reduction(+:nonfinite)" if checked else "",
+            ),
+            "    return nonfinite;",
             "}",
             "",
         ]
     )
+
+
+#: The pointer table of ``fd_update``: solution, residual and accumulator
+#: arrays of each component in turn.
+UPDATE_TABLE = tuple(
+    prefix + name for prefix in ("", "res_", "acc_") for name in ex.COMPONENT_NAMES
+)
+
+
+def _update_function(n) -> str:
+    """``fd_update``: one RK stage's update at every point of planes
+    [k0, k1), with the numpy reference's operations in its order:
+    ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
+    ``sol = sol + (bdt*acc)``."""
+    decls = []
+    for slot, name in enumerate(UPDATE_TABLE):
+        const = "const " if name.startswith("res_") else ""
+        decls.append(f"    {const}double *restrict a_{name} = A[{slot}];")
+    body = []
+    for name in ex.COMPONENT_NAMES:
+        body += [
+            f"const double s_{name} = a_k == 0.0 ? a_res_{name}[c]"
+            f" : ((a_acc_{name}[c] * a_k) + a_res_{name}[c]);",
+            f"a_acc_{name}[c] = s_{name};",
+            f"a_{name}[c] = (a_{name}[c] + (bdt * s_{name}));",
+        ]
+    signature = "void fd_update(double *const *A, double a_k, double bdt, long k0, long k1)"
+    return "\n".join([_function(signature, decls, body, n), "}", ""])
 
 
 def generate_source(plan: KernelPlan, n: int) -> str:
@@ -218,7 +274,7 @@ def generate_source(plan: KernelPlan, n: int) -> str:
     functions = [
         _phase_function(phase.name, phase.statements, n, pointers, powers)
         for phase in plan.phases
-    ]
+    ] + [_update_function(n)]
     header = (
         f"/* fdlab kernel: policy {plan.policy}, n={n}, h={plan.h!r}.\n"
         f"   Pointer table: {' '.join(table)} */\n"
@@ -280,14 +336,16 @@ def default_cache_dir() -> Path:
 class Kernel:
     """A plan's compiled phase functions, or the reason there are none.
 
-    ``functions`` follow ``plan.phases``; None means the numpy
-    reference evaluator runs this plan, and ``reason`` says why.
+    ``functions`` follow ``plan.phases`` and ``update`` is ``fd_update``;
+    None means the numpy reference evaluator and update run this plan,
+    and ``reason`` says why.
     """
 
     policy: str
     n: int
     table: tuple[str, ...] = ()
     functions: tuple | None = None
+    update: object = None
     library: ctypes.CDLL | None = None
     sha256: str | None = None
     reason: str | None = None
@@ -296,12 +354,14 @@ class Kernel:
     def backend(self) -> str:
         return "numpy" if self.functions is None else "c"
 
-    def pointers(self, arrays: dict[str, np.ndarray]):
-        """The pointer table for these padded arrays, after checking that
-        each one has the layout the compiled code indexes."""
+    def pointers(self, arrays: dict[str, np.ndarray], names=None):
+        """The pointer table of `names` (by default the phases' table) in
+        these padded arrays, after checking that each one has the layout
+        the compiled code indexes."""
+        names = self.table if names is None else names
         shape = (self.n + 2 * HALO,) * 3
-        table = (ctypes.c_void_p * len(self.table))()
-        for slot, name in enumerate(self.table):
+        table = (ctypes.c_void_p * len(names))()
+        for slot, name in enumerate(names):
             array = arrays[name]
             if array.dtype != np.float64 or array.shape != shape or not (
                 array.flags.f_contiguous and array.flags.writeable
@@ -366,10 +426,16 @@ class KernelCache:
         for phase in plan.phases:
             function = getattr(library, phase.name)
             function.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
-            function.restype = None
+            function.restype = ctypes.c_long
             functions.append(function)
+        update = library.fd_update
+        update.argtypes = (
+            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long
+        )
+        update.restype = None
         kernel.table = plan.arrays
         kernel.functions = tuple(functions)
+        kernel.update = update
         kernel.library = library
         kernel.sha256 = _sha256_file(library_path)
         return kernel

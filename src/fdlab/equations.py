@@ -283,25 +283,3 @@ def build_equations(params: FlowParams) -> EquationSet:
         derivatives=census(residuals),
     )
 
-
-def split_terms(residual: ex.Expr) -> list[ex.Expr]:
-    """Decompose a residual into its expanded summands.
-
-    Distributes sums and constant prefactors recursively, so the result
-    is the list of individual terms the equations state (one entry per
-    Einstein-expanded summand). The sum of the pieces equals the
-    residual. Used to scale conservation checks by the magnitude of the
-    terms that are supposed to cancel.
-    """
-    if isinstance(residual, ex.Add):
-        out: list[ex.Expr] = []
-        for child in residual.children:
-            out.extend(split_terms(child))
-        return out
-    if isinstance(residual, ex.Neg):
-        return [ex.neg(t) for t in split_terms(residual.child)]
-    if isinstance(residual, ex.Mul) and ex.is_constant(residual.children[0]):
-        head = residual.children[0]
-        rest = ex.mul(*residual.children[1:])
-        return [ex.mul(head, t) for t in split_terms(rest)]
-    return [residual]

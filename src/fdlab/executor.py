@@ -1,9 +1,10 @@
 """Application of a kernel plan to grid fields.
 
 ``execute_plan`` runs the plan's phases in launch order, refreshes the
-halos each phase names and checks the state, on one of two backends:
-the compiled C kernel of ``cbackend``, or the numpy slab evaluator
-below, which is the reference the compiled code must match bit for bit.
+halos each phase names and checks the state, and ``update_solution``
+applies one RK stage's update, on one of two backends: the compiled C
+kernel of ``cbackend``, or the numpy slab evaluator and update below,
+which are the reference the compiled code must match bit for bit.
 
 The numpy evaluator walks each statement's expression tree node by node
 over a slab of interior points, with field references resolved to
@@ -12,7 +13,8 @@ here on purpose: the tree shape IS the variant's compute recipe, and
 collapsing repeated subtrees would erase exactly the recomputation the
 storage policies trade against memory traffic.
 
-Both backends partition the interior along axis 2. Every elementwise
+Both backends partition the interior along axis 2, and one thread pool
+per worker count serves every launch of the process. Every elementwise
 operation is independent per point, so results are bit-identical for
 any slab width and any worker count.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -155,12 +157,29 @@ def _worker_spans(n: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` threads, made on first use and
+    reused by every later evaluation and update."""
+    return ThreadPoolExecutor(workers)
+
+
+def _launch(function, spans, workers: int) -> list:
+    """Call function(z0, z1) once per span, on the pool when there are
+    several workers and spans, and return the results in span order."""
+    if workers == 1 or len(spans) == 1:
+        return [function(z0, z1) for z0, z1 in spans]
+    futures = [_pool(workers).submit(function, z0, z1) for z0, z1 in spans]
+    wait(futures)  # a failing span never leaves others running on the store
+    return [future.result() for future in futures]
+
+
 def _numpy_phases(plan: KernelPlan, arrays, n: int) -> list:
     """The reference backend: one slab callable per phase, launched in
     the same order as the compiled functions."""
 
     def phase(statements):
-        def run(z0: int, z1: int) -> None:
+        def run(z0: int, z1: int) -> int:
             evaluator = _SlabEval(arrays, {}, n, z0, z1)
             # Overflow and NaN are legitimate runtime outcomes here; the
             # finiteness check turns them into errors with point context,
@@ -173,6 +192,7 @@ def _numpy_phases(plan: KernelPlan, arrays, n: int) -> list:
                     else:
                         view = _view(arrays[stmt.array], n, ZERO_OFFSET, z0, z1)
                         np.copyto(view, value)
+            return 0  # counts nothing: _check_residuals tests every result
 
         return run
 
@@ -191,15 +211,17 @@ def execute_plan(
     The phases run compiled when the plan's C kernel builds and loads
     (see ``cbackend``), and through the numpy slab evaluator otherwise;
     both give the same bits. Each phase is split into k-ranges across
-    `workers` threads.
+    `workers` threads of one pool that every call reuses.
 
     This is the only code that refreshes halos, and it trusts none it
     finds: it exchanges the solution on entry and, after each phase, the
     arrays in that phase's ``exchange``.
 
     It also tests the state it reads: density on entry, pressure after
-    the first (primitive) phase and finite residuals at the end. `step`
-    and `stage` only label the messages of those errors.
+    the first (primitive) phase and finite residuals at the end. The
+    compiled phases count the non-finite residuals they store, so there
+    the numpy test runs only to name the first bad point. `step` and
+    `stage` only label the messages of those errors.
     """
     grid = store.grid
     n = grid.n
@@ -220,51 +242,49 @@ def execute_plan(
         functions = [functools.partial(f, table) for f in kernel.functions]
         spans = _worker_spans(n, workers)
 
-    pool = ThreadPoolExecutor(workers) if workers > 1 and len(spans) > 1 else None
+    nonfinite = 0
+    for index, (phase, function) in enumerate(zip(plan.phases, functions)):
+        nonfinite += sum(_launch(function, spans, workers))
+        if index == 0:
+            check_positive(store.interior("p"), "pressure", step, stage)
+        for name in phase.exchange:
+            store.exchange(name)
 
-    def launch(function) -> None:
-        if pool is None:
-            for z0, z1 in spans:
-                function(z0, z1)
-        else:
-            for future in [pool.submit(function, z0, z1) for z0, z1 in spans]:
-                future.result()
-
-    try:
-        for index, (phase, function) in enumerate(zip(plan.phases, functions)):
-            launch(function)
-            if index == 0:
-                check_positive(store.interior("p"), "pressure", step, stage)
-            for name in phase.exchange:
-                store.exchange(name)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    _check_residuals(store, step, stage)
+    if kernel.functions is None or nonfinite:
+        _check_residuals(store, step, stage)
     return {component: store.residual(component) for component in COMPONENT_NAMES}
 
 
-def evaluate_expression(
-    expr: ex.Expr, store: FieldStore, locals_: dict | None = None
-) -> np.ndarray:
-    """Evaluate one discretized expression over the full interior.
+def update_solution(
+    plan: KernelPlan,
+    store: FieldStore,
+    accumulators: dict[str, np.ndarray],
+    a_k: float,
+    bdt: float,
+    workers: int = 1,
+) -> None:
+    """One RK stage's update of the interiors from the store's residuals:
+    ``acc = a_k*acc + res`` (a copy when `a_k` is 0), then
+    ``sol = sol + bdt*acc``, on the backend that ran the plan.
 
-    Diagnostic path: refreshes the halos of whatever the expression reads
-    at an offset, once per array, then runs the same slab evaluator in a
-    single span. The result is a fresh array unless the expression is a
-    bare reference, in which case it is a read-only view.
+    The accumulators are padded Fortran-order arrays, one per solution
+    component. Compiled, ``fd_update`` runs on the k-ranges and the pool
+    of the phases; the numpy reference runs whole-interior passes.
     """
-    n = store.grid.n
-    tapped = {
-        ref.array
-        for ref in ex.references(expr)
-        if isinstance(ref, ex.WorkRef) and ref.offset != ZERO_OFFSET
-    }
-    for name in tapped:
-        store.exchange(name)
+    kernel = cbackend.KERNELS.lookup(plan, store.grid.n)
+    if kernel.update is None:
+        for name in COMPONENT_NAMES:
+            acc = accumulators[name][HALO:-HALO, HALO:-HALO, HALO:-HALO]
+            if a_k == 0.0:
+                np.copyto(acc, store.residual(name))
+            else:
+                np.multiply(acc, a_k, out=acc)
+                np.add(acc, store.residual(name), out=acc)
+            solution = store.interior(name)
+            np.add(solution, bdt * acc, out=solution)
+        return
     arrays = {name: store.full(name) for name in store.names()}
-    value = _SlabEval(arrays, locals_ or {}, n, 0, n)(expr)
-    if not isinstance(value, np.ndarray):
-        return np.full(store.grid.shape, float(value))
-    return value
+    arrays.update({f"acc_{name}": acc for name, acc in accumulators.items()})
+    table = kernel.pointers(arrays, cbackend.UPDATE_TABLE)
+    update = functools.partial(kernel.update, table, a_k, bdt)
+    _launch(update, _worker_spans(store.grid.n, workers), workers)

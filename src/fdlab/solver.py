@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cbackend
 from .equations import FlowParams, build_equations
-from .executor import check_positive, execute_plan
+from .executor import check_positive, execute_plan, update_solution
 from .expr import COMPONENT_NAMES
 from .grid import FieldStore, Grid, write_snapshot
 from .plan import KernelPlan, build_plan
@@ -128,7 +128,10 @@ def _check_thermo(store: FieldStore, step) -> None:
 
 
 def allocate_accumulators(grid: Grid) -> dict[str, np.ndarray]:
-    return {name: np.zeros(grid.shape, order="F") for name in COMPONENT_NAMES}
+    """One padded Fortran-order accumulator per solution component, laid
+    out like the store's fields so one index serves all three operands
+    of the update."""
+    return {name: np.zeros(grid.padded_shape, order="F") for name in COMPONENT_NAMES}
 
 
 def rk3_step(
@@ -141,24 +144,18 @@ def rk3_step(
 ) -> FieldStore:
     """Advance the solution by one timestep in place.
 
-    Only interiors are updated; the next ``execute_plan`` refreshes the
-    solution's halos and tests the state each stage leaves.
+    Each stage evaluates the residuals into the store and then updates
+    the interiors from them, compiled or on numpy as the plan runs; the
+    next ``execute_plan`` refreshes the solution's halos and tests the
+    state each stage leaves.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if accumulators is None:
         accumulators = allocate_accumulators(store.grid)
     for stage, (a_k, b_k) in enumerate(zip(RK_A, RK_B), start=1):
-        residuals = execute_plan(plan, store, workers=workers, step=step, stage=stage)
-        for name in COMPONENT_NAMES:
-            acc = accumulators[name]
-            if a_k == 0.0:
-                np.copyto(acc, residuals[name])
-            else:
-                np.multiply(acc, a_k, out=acc)
-                np.add(acc, residuals[name], out=acc)
-            solution = store.interior(name)
-            np.add(solution, (b_k * dt) * acc, out=solution)
+        execute_plan(plan, store, workers=workers, step=step, stage=stage)
+        update_solution(plan, store, accumulators, a_k, b_k * dt, workers=workers)
     return store
 
 

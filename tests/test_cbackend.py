@@ -17,7 +17,7 @@ from fdlab.equations import FlowParams, build_equations
 from fdlab.grid import FieldStore, Grid
 from fdlab import expr as ex
 from fdlab.plan import VARIANTS, Statement, build_plan
-from fdlab.solver import RunConfig, run
+from fdlab.solver import RunConfig, rk3_step, run
 
 MISSING = "fdlab-missing-compiler"
 
@@ -42,10 +42,16 @@ def _random_store(grid, seed):
     return store
 
 
-def _residual_bytes(plan, grid, workers):
+def _result_bytes(plan, grid, workers):
+    """Residual bytes of one evaluation, then solution bytes after one
+    full RK3 step, both from the same random state."""
     store = _random_store(grid, seed=17)
     residuals = exe.execute_plan(plan, store, workers=workers)
-    return {c: residuals[c].tobytes() for c in ex.COMPONENT_NAMES}
+    got = {f"res_{c}": residuals[c].tobytes() for c in ex.COMPONENT_NAMES}
+    store = _random_store(grid, seed=17)
+    rk3_step(store, plan, dt=1e-4, workers=workers, step=1)
+    got.update({c: store.interior(c).tobytes() for c in ex.COMPONENT_NAMES})
+    return got
 
 
 def _count_compiles(monkeypatch):
@@ -64,17 +70,19 @@ def _count_compiles(monkeypatch):
 @pytest.mark.parametrize("n", [8, 12, 13])  # 13 leaves a scalar remainder
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_residuals_byte_equal_numpy(eqset, monkeypatch, tmp_path, variant, n):
+    # the residuals check the phases; the solution after one step, fd_update
     grid = Grid(n)
     plan = build_plan(eqset, variant, grid.h)
     kernel = cbackend.KERNELS.lookup(plan, n)
     assert kernel.backend == "c", kernel.reason
-    compiled = {w: _residual_bytes(plan, grid, w) for w in (1, 3)}
+    compiled = {w: _result_bytes(plan, grid, w) for w in (1, 3)}
     monkeypatch.setattr(cbackend, "KERNELS", cbackend.KernelCache(tmp_path, MISSING))
-    reference = _residual_bytes(plan, grid, 1)
+    reference = _result_bytes(plan, grid, 1)
     assert cbackend.KERNELS.lookup(plan, n).backend == "numpy"
+    assert len(reference) == 10
     for workers, got in compiled.items():
-        for component in ex.COMPONENT_NAMES:
-            assert got[component] == reference[component], (workers, component)
+        for name, want in reference.items():
+            assert got[name] == want, (workers, name)
 
 
 @needs_compiler
@@ -86,26 +94,49 @@ def test_point_loop_is_vectorised(eqset, tmp_path, variant):
     kernel = cbackend.KernelCache(tmp_path).lookup(plan, 16)
     assert kernel.backend == "c", kernel.reason
     (library,) = tmp_path.glob("*.so")
-    listing = subprocess.run(
-        ["objdump", "-d", "--disassemble=fd_point", str(library)],
-        capture_output=True, text=True, check=True,
-    ).stdout
-    kinds = re.findall(r"\bv?(?:add|sub|mul|div)([ps])d\b", listing)
-    assert kinds.count("p") > 0 and kinds.count("s") == 0, (
-        f"{kinds.count('p')} packed, {kinds.count('s')} scalar"
-    )
+    for function in ("fd_point", "fd_update"):
+        listing = subprocess.run(
+            ["objdump", "-d", f"--disassemble={function}", str(library)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        kinds = re.findall(r"\bv?(?:add|sub|mul|div)([ps])d\b", listing)
+        assert kinds.count("p") > 0 and kinds.count("s") == 0, (
+            f"{function}: {kinds.count('p')} packed, {kinds.count('s')} scalar"
+        )
+
+
+@needs_compiler
+def test_one_pool_serves_every_launch(eqset, monkeypatch):
+    made = []
+
+    class Counted(exe.ThreadPoolExecutor):
+        def __init__(self, workers):
+            made.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(exe, "ThreadPoolExecutor", Counted)
+    exe._pool.cache_clear()
+    try:
+        grid = Grid(8)
+        plan = build_plan(eqset, "bl", grid.h)  # 65 phases and fd_update
+        store = _random_store(grid, seed=3)
+        for step in (1, 2):
+            rk3_step(store, plan, dt=1e-4, workers=2, step=step)
+    finally:
+        exe._pool.cache_clear()
+    assert made == [2]
 
 
 #: sha256 of generate_source(build_plan(eqset, variant, Grid(16).h), 16). A
 #: change here changes every kernel-cache key, so the next run of each
 #: variant compiles again.
 SOURCE_SHA256 = {
-    "bl": "8ec3a20f8343f8d1e877364126d8289744cb4cc3beabb62c5e3d632968ae72d7",
-    "rs": "f27a500ae77e66a96971d28b1829194dd5e23d0254a86f5eb103380d2d9bb387",
-    "ss": "a32df245441159563b0490365b322dc6191353c528285a59ae54ea95f4a7507a",
-    "ra": "4ad14a87da719c62be84a178891ab0360292787020894600433d6e5560dc02fc",
-    "sn": "c37db1378d730f7dfda92997ca2fc2a1c1b7ce37a535ec2259ae3c3682ce508d",
-    "sn2": "89eb8bbca25b7e32a6ae4bee1ed14e9384a68a9b83663ae6a36f11e8abc300b7",
+    "bl": "e9ad57870d381f3e639fb811439338839fde4c9a775e722a8369b7d32be64787",
+    "rs": "769b8500e9669aadc6c1a32ec8c35926b1ca5fa6a64d9763c4eb4fdbd80b1be8",
+    "ss": "d8eaf64cd15232e241de7a098778654922e8abc4d17581080d64efd343739386",
+    "ra": "f08169e765f89b76af0bce66c9031d72cdb084dcbfe03269f846f8964388a601",
+    "sn": "1698ac1aed9de2f7681ddbb84456cd03966e9864882a3a4ebaa27e9515b13be3",
+    "sn2": "2d1352312a219d0ac4c6877e675deb3ee09658d9878eacfc2cd4f84192435128",
 }
 
 
@@ -195,8 +226,11 @@ def test_source_uses_exact_literals_and_left_folds(eqset):
     assert "(0x1.9999999999998p-2)" in source  # gamma - 1, from 0.3999999999999999
     assert "fd_pow2(v_u0)" in source
     assert "((fd_pow2(v_u0) + fd_pow2(v_u1)) + fd_pow2(v_u2))" in source
-    assert source.count("void fd_") == 63 + 2
-    assert source.count("#pragma omp simd") == 63 + 2  # one i-loop per function
+    # 65 phases and fd_update, one i-loop each; only fd_point stores residuals
+    assert len(re.findall(r"^(?:long|void) fd_\w+\(double \*const \*A", source, re.M)) == 66
+    assert source.count("#pragma omp simd") == 66
+    assert source.count("#pragma omp simd reduction(+:nonfinite)") == 1
+    assert source.count("nonfinite += !__builtin_isfinite(v_res_") == 5
 
 
 def test_plan_the_generator_cannot_express_runs_on_numpy(eqset, tmp_path):

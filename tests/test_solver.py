@@ -1,6 +1,8 @@
 """Time integration: the RK3 scheme, vortex setup, and the run driver."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,21 +139,27 @@ class TestComputeTimestep:
 
 
 class TestRK3Step:
-    def test_zero_residual_leaves_solution_bit_identical(self, eqs, monkeypatch):
+    def test_zero_residual_leaves_solution_bit_identical(
+        self, eqs, monkeypatch, backends
+    ):
+        # the update reads the residuals from the store, not from the
+        # dict execute_plan returns
         grid = Grid(8)
-        store = _uniform_store(grid)
         plan = build_plan(eqs, "bl", grid.h)
-        before = _solution_bytes(store)
 
         def zero_residuals(plan, store, workers=1, step=None, stage=None):
-            return {
-                name: np.zeros(store.grid.shape, order="F")
-                for name in COMPONENT_NAMES
-            }
+            for name in COMPONENT_NAMES:
+                store.residual(name)[...] = 0.0
+            return {name: store.residual(name) for name in COMPONENT_NAMES}
 
         monkeypatch.setattr(sv, "execute_plan", zero_residuals)
-        rk3_step(store, plan, dt=0.01)
-        assert _solution_bytes(store) == before
+        for backend in backends():
+            store = _uniform_store(grid)
+            for name in COMPONENT_NAMES:
+                store.residual(name)[...] = 1.0
+            before = _solution_bytes(store)
+            rk3_step(store, plan, dt=0.01, workers=2)
+            assert _solution_bytes(store) == before, backend
 
     def test_uniform_state_barely_drifts(self, eqs):
         # a constant state is an exact steady solution; the stencil sums
@@ -347,6 +355,59 @@ class TestRun:
         single = run(RunConfig(n=16, steps=2, policy="sn", workers=1))
         threaded = run(RunConfig(n=16, steps=2, policy="sn", workers=2))
         assert _solution_bytes(single.store) == _solution_bytes(threaded.store)
+
+    #: sha256 of the five solution interiors after run(n=16, steps=3),
+    #: pinned before the RK update moved into generated code. bl, ss, sn
+    #: and sn2 end in the same bits; rs and ra, which re-expand
+    #: derivatives at each use, end in others.
+    FINAL_STATE_SHA256 = {
+        "bl": "b3c202329c06ae2bdbc56893bc8de877042f8241595ab31bf48cdd7cd780213d",
+        "rs": "4f2db61a9432a48eb9573529fd3c66aaa5620b7ff32bbad26144f69797daad68",
+        "ss": "b3c202329c06ae2bdbc56893bc8de877042f8241595ab31bf48cdd7cd780213d",
+        "ra": "a2e5eccf7b452a0c5f79ac706aa1ba4de7c468debfaac956dad6ef33fabe118a",
+        "sn": "b3c202329c06ae2bdbc56893bc8de877042f8241595ab31bf48cdd7cd780213d",
+        "sn2": "b3c202329c06ae2bdbc56893bc8de877042f8241595ab31bf48cdd7cd780213d",
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_final_state_bits_are_pinned(self, backends, variant):
+        for backend in backends():
+            for workers in (1, 2):
+                config = RunConfig(n=16, steps=3, policy=variant, workers=workers)
+                digest = hashlib.sha256(b"".join(_solution_bytes(run(config).store)))
+                want = self.FINAL_STATE_SHA256[variant]
+                assert digest.hexdigest() == want, (backend, workers)
+
+    def test_non_finite_residual_names_the_same_point_on_both_backends(
+        self, monkeypatch, backends
+    ):
+        # an energy flux of 1e301 * 1e150 overflows next to one point
+        # whose density and pressure are still positive
+        calls = []
+        original = sv.execute_plan
+
+        def poisoning(plan, store, *args, **kwargs):
+            calls.append(kwargs["stage"])
+            if len(calls) == 2:
+                for name, value in (("rhou0", 1e150), ("rhoE", 1e301)):
+                    field = np.array(store.interior(name))
+                    field[3, 4, 5] = value
+                    store.set_interior(name, field)
+            return original(plan, store, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "execute_plan", poisoning)
+        messages = {}
+        for backend in backends():
+            calls.clear()
+            with pytest.raises(NumericalBlowupError) as raised:
+                run(RunConfig(n=16, steps=2, policy="sn"))
+            messages[backend] = str(raised.value)
+        assert re.fullmatch(
+            r"non-finite residual for \w+ at interior point \(\d+, \d+, \d+\)"
+            r" \(step 1, stage 2\)",
+            messages["numpy"],
+        ), messages["numpy"]
+        assert len(set(messages.values())) == 1, messages
 
     def test_explicit_dt_is_used(self):
         result = run(RunConfig(n=16, steps=0, policy="bl", dt=0.003))
