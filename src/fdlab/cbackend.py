@@ -36,7 +36,8 @@ tied to one grid anyway.
 The translation unit ends with ``fd_update``, one RK stage's update over
 the same k-ranges: ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
 ``sol = sol + (bdt*acc)``, the numpy reference's operations in its
-order. Its pointer table is ``UPDATE_TABLE``.
+order. All functions index one pointer table: the plan's arrays, then the
+accumulators.
 
 Built libraries are cached on disk under a per-user directory in the
 system temp dir, keyed by the sha256 of the generated source plus the
@@ -63,7 +64,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import ZERO_OFFSET
-from .grid import HALO
+from .grid import ACCUMULATORS, HALO
 from .plan import KernelPlan
 
 COMPILER = "gcc"
@@ -238,22 +239,22 @@ def _phase_function(name, statements, n, pointers, powers) -> str:
     )
 
 
-#: The pointer table of ``fd_update``: solution, residual and accumulator
-#: arrays of each component in turn.
-UPDATE_TABLE = tuple(
-    prefix + name for prefix in ("", "res_", "acc_") for name in ex.COMPONENT_NAMES
-)
+def _pointer_table(plan: KernelPlan) -> tuple[str, ...]:
+    """The arrays every function of the plan's kernel indexes, by slot:
+    the plan's arrays, then the RK accumulators."""
+    return (*plan.arrays, *ACCUMULATORS)
 
 
-def _update_function(n) -> str:
+def _update_function(n, pointers) -> str:
     """``fd_update``: one RK stage's update at every point of planes
     [k0, k1), with the numpy reference's operations in its order:
     ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
     ``sol = sol + (bdt*acc)``."""
     decls = []
-    for slot, name in enumerate(UPDATE_TABLE):
-        const = "const " if name.startswith("res_") else ""
-        decls.append(f"    {const}double *restrict a_{name} = A[{slot}];")
+    for prefix in ("", "res_", "acc_"):
+        const = "const " if prefix == "res_" else ""
+        for array in (prefix + name for name in ex.COMPONENT_NAMES):
+            decls.append(f"    {const}double *restrict a_{array} = A[{pointers[array]}];")
     body = []
     for name in ex.COMPONENT_NAMES:
         body += [
@@ -268,13 +269,13 @@ def _update_function(n) -> str:
 
 def generate_source(plan: KernelPlan, n: int) -> str:
     """The complete C translation unit for the plan on an n^3 grid."""
-    table = plan.arrays
+    table = _pointer_table(plan)
     pointers = {name: slot for slot, name in enumerate(table)}
     powers: set[int] = set()
     functions = [
         _phase_function(phase.name, phase.statements, n, pointers, powers)
         for phase in plan.phases
-    ] + [_update_function(n)]
+    ] + [_update_function(n, pointers)]
     header = (
         f"/* fdlab kernel: policy {plan.policy}, n={n}, h={plan.h!r}.\n"
         f"   Pointer table: {' '.join(table)} */\n"
@@ -336,9 +337,9 @@ def default_cache_dir() -> Path:
 class Kernel:
     """A plan's compiled phase functions, or the reason there are none.
 
-    ``functions`` follow ``plan.phases`` and ``update`` is ``fd_update``;
-    None means the numpy reference evaluator and update run this plan,
-    and ``reason`` says why.
+    ``functions`` follow ``plan.phases`` and ``update`` is ``fd_update``,
+    all indexing ``table``; None means the numpy reference evaluator and
+    update run this plan, and ``reason`` says why.
     """
 
     policy: str
@@ -354,14 +355,12 @@ class Kernel:
     def backend(self) -> str:
         return "numpy" if self.functions is None else "c"
 
-    def pointers(self, arrays: dict[str, np.ndarray], names=None):
-        """The pointer table of `names` (by default the phases' table) in
-        these padded arrays, after checking that each one has the layout
-        the compiled code indexes."""
-        names = self.table if names is None else names
+    def pointers(self, arrays: dict[str, np.ndarray]):
+        """The kernel's pointer table in these padded arrays, after
+        checking that each one has the layout the compiled code indexes."""
         shape = (self.n + 2 * HALO,) * 3
-        table = (ctypes.c_void_p * len(names))()
-        for slot, name in enumerate(names):
+        table = (ctypes.c_void_p * len(self.table))()
+        for slot, name in enumerate(self.table):
             array = arrays[name]
             if array.dtype != np.float64 or array.shape != shape or not (
                 array.flags.f_contiguous and array.flags.writeable
@@ -433,7 +432,7 @@ class KernelCache:
             ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long
         )
         update.restype = None
-        kernel.table = plan.arrays
+        kernel.table = _pointer_table(plan)
         kernel.functions = tuple(functions)
         kernel.update = update
         kernel.library = library

@@ -2,9 +2,10 @@
 
 ``execute_plan`` runs the plan's phases in launch order, refreshes the
 halos each phase names and checks the state, and ``update_solution``
-applies one RK stage's update, on one of two backends: the compiled C
-kernel of ``cbackend``, or the numpy slab evaluator and update below,
-which are the reference the compiled code must match bit for bit.
+applies one RK stage's update, both through the callables of ``_bind``,
+the one place a backend is chosen: the compiled C kernel of ``cbackend``,
+or the numpy slab evaluator and update below, which are the reference
+the compiled code must match bit for bit.
 
 The numpy evaluator walks each statement's expression tree node by node
 over a slab of interior points, with field references resolved to
@@ -13,8 +14,9 @@ here on purpose: the tree shape IS the variant's compute recipe, and
 collapsing repeated subtrees would erase exactly the recomputation the
 storage policies trade against memory traffic.
 
-Both backends partition the interior along axis 2, and one thread pool
-per worker count serves every launch of the process. Every elementwise
+Both backends partition the interior along axis 2 into one k-range per
+worker, and one thread pool per worker count serves every launch of the
+process; the numpy reference walks its range in slabs. Every elementwise
 operation is independent per point, so results are bit-identical for
 any slab width and any worker count.
 """
@@ -40,9 +42,10 @@ from .plan import KernelPlan
 _SLAB_BYTES = 524_288
 
 
-def _slab_spans(n: int) -> list[tuple[int, int]]:
+def _slabs(k0: int, k1: int, n: int) -> list[tuple[int, int]]:
+    """Planes [k0, k1) in slabs of about ``_SLAB_BYTES`` per array."""
     width = max(1, min(n, _SLAB_BYTES // (8 * n * n)))
-    return [(z, min(z + width, n)) for z in range(0, n, width)]
+    return [(z, min(z + width, k1)) for z in range(k0, k1, width)]
 
 
 def _view(padded: np.ndarray, n: int, offset, z0: int, z1: int) -> np.ndarray:
@@ -174,29 +177,71 @@ def _launch(function, spans, workers: int) -> list:
     return [future.result() for future in futures]
 
 
-def _numpy_phases(plan: KernelPlan, arrays, n: int) -> list:
-    """The reference backend: one slab callable per phase, launched in
-    the same order as the compiled functions."""
+def _numpy_phase(statements, arrays, n: int):
+    """The numpy reference of one compiled phase function: run the
+    statements over planes [k0, k1), slab by slab, and return how many
+    non-finite values they stored into residual arrays."""
 
-    def phase(statements):
-        def run(z0: int, z1: int) -> int:
-            evaluator = _SlabEval(arrays, {}, n, z0, z1)
-            # Overflow and NaN are legitimate runtime outcomes here; the
-            # finiteness check turns them into errors with point context,
-            # so numpy's own warnings are noise (errstate is per-thread).
-            with np.errstate(over="ignore", invalid="ignore"):
+    def run(k0: int, k1: int) -> int:
+        nonfinite = 0
+        # Overflow and NaN are legitimate runtime outcomes here; they are
+        # counted and named by the caller, so numpy's own warnings are
+        # noise (errstate is per-thread).
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z0, z1 in _slabs(k0, k1, n):
+                evaluator = _SlabEval(arrays, {}, n, z0, z1)
                 for stmt in statements:
                     value = evaluator(stmt.expr)
                     if stmt.array is None:
                         evaluator.locals[stmt.target] = value
-                    else:
-                        view = _view(arrays[stmt.array], n, ZERO_OFFSET, z0, z1)
-                        np.copyto(view, value)
-            return 0  # counts nothing: _check_residuals tests every result
+                        continue
+                    view = _view(arrays[stmt.array], n, ZERO_OFFSET, z0, z1)
+                    np.copyto(view, value)
+                    if stmt.kind == "residual":
+                        nonfinite += view.size - np.count_nonzero(np.isfinite(view))
+        return nonfinite
 
-        return run
+    return run
 
-    return [phase(p.statements) for p in plan.phases]
+
+def _numpy_update(arrays, n: int):
+    """The numpy reference of ``fd_update`` over planes [k0, k1):
+    ``acc = a_k*acc + res`` (a copy when `a_k` is 0), then
+    ``sol = sol + bdt*acc``."""
+
+    def run(a_k: float, bdt: float, k0: int, k1: int) -> None:
+        for name in COMPONENT_NAMES:
+            sol, res, acc = (
+                _view(arrays[prefix + name], n, ZERO_OFFSET, k0, k1)
+                for prefix in ("", "res_", "acc_")
+            )
+            if a_k == 0.0:
+                np.copyto(acc, res)
+            else:
+                np.multiply(acc, a_k, out=acc)
+                np.add(acc, res, out=acc)
+            np.add(sol, bdt * acc, out=sol)
+
+    return run
+
+
+def _bind(plan: KernelPlan, store: FieldStore):
+    """The plan's phases, in launch order, and its update, bound to the
+    store's arrays: the compiled kernel's functions through its one
+    pointer table when the kernel built (see ``cbackend``), the numpy
+    reference otherwise. A phase is a callable over planes [k0, k1) that
+    returns how many non-finite values it stored into residual arrays;
+    the update is a callable (a_k, bdt, k0, k1)."""
+    store.ensure_work(plan.arrays)
+    n = store.grid.n
+    kernel = cbackend.KERNELS.lookup(plan, n)
+    arrays = {name: store.full(name) for name in store.names()}
+    if kernel.functions is None:
+        phases = [_numpy_phase(p.statements, arrays, n) for p in plan.phases]
+        return phases, _numpy_update(arrays, n)
+    table = kernel.pointers(arrays)
+    phases = [functools.partial(f, table) for f in kernel.functions]
+    return phases, functools.partial(kernel.update, table)
 
 
 def execute_plan(
@@ -208,10 +253,8 @@ def execute_plan(
 ) -> dict[str, np.ndarray]:
     """Run the plan's phases in order and return the residual fields.
 
-    The phases run compiled when the plan's C kernel builds and loads
-    (see ``cbackend``), and through the numpy slab evaluator otherwise;
-    both give the same bits. Each phase is split into k-ranges across
-    `workers` threads of one pool that every call reuses.
+    Each phase is split into k-ranges across `workers` threads of one
+    pool that every call reuses.
 
     This is the only code that refreshes halos, and it trusts none it
     finds: it exchanges the solution on entry and, after each phase, the
@@ -219,29 +262,19 @@ def execute_plan(
 
     It also tests the state it reads: density on entry, pressure after
     the first (primitive) phase and finite residuals at the end. The
-    compiled phases count the non-finite residuals they store, so there
-    the numpy test runs only to name the first bad point. `step` and
-    `stage` only label the messages of those errors.
+    phases count the non-finite residuals they store, so the residual
+    test runs only when that count is nonzero, to name the first bad
+    point. `step` and `stage` only label the messages of those errors.
     """
     grid = store.grid
-    n = grid.n
     if not math.isclose(plan.h, grid.h, rel_tol=1e-12, abs_tol=0.0):
         raise GridError(f"plan spacing {plan.h} does not match grid spacing {grid.h}")
-    store.ensure_work(plan.arrays)
+    functions, _ = _bind(plan, store)
     for name in COMPONENT_NAMES:
         store.exchange(name)
     check_positive(store.interior("rho"), "density", step, stage)
 
-    kernel = cbackend.KERNELS.lookup(plan, n)
-    arrays = {name: store.full(name) for name in store.names()}
-    if kernel.functions is None:
-        functions = _numpy_phases(plan, arrays, n)
-        spans = _slab_spans(n)
-    else:
-        table = kernel.pointers(arrays)
-        functions = [functools.partial(f, table) for f in kernel.functions]
-        spans = _worker_spans(n, workers)
-
+    spans = _worker_spans(grid.n, workers)
     nonfinite = 0
     for index, (phase, function) in enumerate(zip(plan.phases, functions)):
         nonfinite += sum(_launch(function, spans, workers))
@@ -250,41 +283,17 @@ def execute_plan(
         for name in phase.exchange:
             store.exchange(name)
 
-    if kernel.functions is None or nonfinite:
+    if nonfinite:
         _check_residuals(store, step, stage)
     return {component: store.residual(component) for component in COMPONENT_NAMES}
 
 
 def update_solution(
-    plan: KernelPlan,
-    store: FieldStore,
-    accumulators: dict[str, np.ndarray],
-    a_k: float,
-    bdt: float,
-    workers: int = 1,
+    plan: KernelPlan, store: FieldStore, a_k: float, bdt: float, workers: int = 1
 ) -> None:
-    """One RK stage's update of the interiors from the store's residuals:
-    ``acc = a_k*acc + res`` (a copy when `a_k` is 0), then
-    ``sol = sol + bdt*acc``, on the backend that ran the plan.
-
-    The accumulators are padded Fortran-order arrays, one per solution
-    component. Compiled, ``fd_update`` runs on the k-ranges and the pool
-    of the phases; the numpy reference runs whole-interior passes.
-    """
-    kernel = cbackend.KERNELS.lookup(plan, store.grid.n)
-    if kernel.update is None:
-        for name in COMPONENT_NAMES:
-            acc = accumulators[name][HALO:-HALO, HALO:-HALO, HALO:-HALO]
-            if a_k == 0.0:
-                np.copyto(acc, store.residual(name))
-            else:
-                np.multiply(acc, a_k, out=acc)
-                np.add(acc, store.residual(name), out=acc)
-            solution = store.interior(name)
-            np.add(solution, bdt * acc, out=solution)
-        return
-    arrays = {name: store.full(name) for name in store.names()}
-    arrays.update({f"acc_{name}": acc for name, acc in accumulators.items()})
-    table = kernel.pointers(arrays, cbackend.UPDATE_TABLE)
-    update = functools.partial(kernel.update, table, a_k, bdt)
-    _launch(update, _worker_spans(store.grid.n, workers), workers)
+    """One RK stage's update of the interiors, on the k-ranges and the
+    pool of the phases: ``acc = a_k*acc + res`` (a copy when `a_k` is 0),
+    then ``sol = sol + bdt*acc``, with the store's ``acc_*`` arrays."""
+    _, update = _bind(plan, store)
+    n = store.grid.n
+    _launch(functools.partial(update, a_k, bdt), _worker_spans(n, workers), workers)

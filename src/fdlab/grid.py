@@ -21,6 +21,9 @@ from .stencils import first_derivative_stencil
 HALO = 4
 DOMAIN_LENGTH = 2.0 * math.pi
 
+#: The RK accumulators, one per solution component, that every store holds.
+ACCUMULATORS = tuple("acc_" + name for name in COMPONENT_NAMES)
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -77,8 +80,8 @@ _INTERIOR = (slice(HALO, -HALO),) * 3
 
 
 class FieldStore:
-    """Named padded arrays: solution, primitives, residuals, and work
-    arrays allocated on demand per plan.
+    """Named padded arrays: solution, primitives, residuals, RK
+    accumulators, and work arrays allocated on demand per plan.
 
     Exclusively owned by one driver at a time. The store keeps no record
     of which halos are current: ``execute_plan`` refreshes them at fixed
@@ -94,6 +97,8 @@ class FieldStore:
             self._allocate(name)
         for name in COMPONENT_NAMES:
             self._allocate("res_" + name)
+        for name in ACCUMULATORS:
+            self._allocate(name)
 
     def _allocate(self, name: str) -> None:
         self._arrays[name] = np.zeros(self.grid.padded_shape, order="F")

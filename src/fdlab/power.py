@@ -138,7 +138,8 @@ class CommandSource(PowerSource):
         self._argv = tuple(argv)
         self._timeout = timeout
         self._latest: deque[float] = deque(maxlen=1)
-        #: Set by the first value or by the end of the first read's wait.
+        #: Set by the first value, the end of the child's output or the
+        #: end of the first read's wait.
         self._ready = threading.Event()
         self._proc: subprocess.Popen | None = None
         self._failure: str | None = None
@@ -167,6 +168,7 @@ class CommandSource(PowerSource):
                 continue
             self._latest.append(value)
             self._ready.set()
+        self._ready.set()  # stdout ended: no value will come to wait for
 
     def read(self) -> PowerSample:
         if self._failure is not None:

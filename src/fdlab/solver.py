@@ -7,6 +7,7 @@ extra register is needed besides the solution.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -61,13 +62,13 @@ class RunConfig:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be positive, got {self.repeats}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt is None:
             if self.cfl is None:
                 raise ValueError("need either dt or cfl")
-            if self.cfl <= 0:
-                raise ValueError(f"cfl must be positive, got {self.cfl}")
+            if not 0 < self.cfl < math.inf:
+                raise ValueError(f"cfl must be positive and finite, got {self.cfl}")
         if self.snapshot_every < 0:
             raise ValueError("snapshot interval must be non-negative")
         if self.workers < 1:
@@ -127,35 +128,25 @@ def _check_thermo(store: FieldStore, step) -> None:
     check_positive(internal, "internal energy", step)
 
 
-def allocate_accumulators(grid: Grid) -> dict[str, np.ndarray]:
-    """One padded Fortran-order accumulator per solution component, laid
-    out like the store's fields so one index serves all three operands
-    of the update."""
-    return {name: np.zeros(grid.padded_shape, order="F") for name in COMPONENT_NAMES}
-
-
 def rk3_step(
     store: FieldStore,
     plan: KernelPlan,
     dt: float,
-    accumulators: dict[str, np.ndarray] | None = None,
     workers: int = 1,
     step: int | None = None,
 ) -> FieldStore:
     """Advance the solution by one timestep in place.
 
     Each stage evaluates the residuals into the store and then updates
-    the interiors from them, compiled or on numpy as the plan runs; the
-    next ``execute_plan`` refreshes the solution's halos and tests the
-    state each stage leaves.
+    the interiors from them and the store's accumulators, on the backend
+    the plan runs on; the next ``execute_plan`` refreshes the solution's
+    halos and tests the state each stage leaves.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if accumulators is None:
-        accumulators = allocate_accumulators(store.grid)
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     for stage, (a_k, b_k) in enumerate(zip(RK_A, RK_B), start=1):
         execute_plan(plan, store, workers=workers, step=step, stage=stage)
-        update_solution(plan, store, accumulators, a_k, b_k * dt, workers=workers)
+        update_solution(plan, store, a_k, b_k * dt, workers=workers)
     return store
 
 
@@ -196,7 +187,6 @@ def run(
     # Build or load the kernel now, so a cold compile lands in set-up and
     # never in a timed step; execute_plan's own lookup then hits.
     cbackend.KERNELS.lookup(plan, grid.n)
-    accumulators = allocate_accumulators(grid)
     if source is None:
         source = NullSource()
     integrator = EnergyIntegrator()
@@ -220,14 +210,7 @@ def run(
     wall_start = time.perf_counter()
     take(0)
     for step in range(1, config.steps + 1):
-        rk3_step(
-            store,
-            plan,
-            dt,
-            accumulators=accumulators,
-            workers=config.workers,
-            step=step,
-        )
+        rk3_step(store, plan, dt, workers=config.workers, step=step)
         take(step)
         if (
             config.snapshot_every

@@ -131,12 +131,12 @@ def test_one_pool_serves_every_launch(eqset, monkeypatch):
 #: change here changes every kernel-cache key, so the next run of each
 #: variant compiles again.
 SOURCE_SHA256 = {
-    "bl": "e9ad57870d381f3e639fb811439338839fde4c9a775e722a8369b7d32be64787",
-    "rs": "769b8500e9669aadc6c1a32ec8c35926b1ca5fa6a64d9763c4eb4fdbd80b1be8",
-    "ss": "d8eaf64cd15232e241de7a098778654922e8abc4d17581080d64efd343739386",
-    "ra": "f08169e765f89b76af0bce66c9031d72cdb084dcbfe03269f846f8964388a601",
-    "sn": "1698ac1aed9de2f7681ddbb84456cd03966e9864882a3a4ebaa27e9515b13be3",
-    "sn2": "2d1352312a219d0ac4c6877e675deb3ee09658d9878eacfc2cd4f84192435128",
+    "bl": "cf581bbf6f71967d3f48bab05fc82c47dc82413e20f3c8b4fbcda9d4a8195346",
+    "rs": "1096eb723226172aa7f5b45b4e7fa14cd775cb983b5e05ff2504add808a23048",
+    "ss": "f1e2b2b1f31acadde20a6398664e0f484263ab4424262f1cb20fb2d426d7f061",
+    "ra": "39e6e1da5872ce2ef103f46682a8dfe688112de9e1a37aa7cb1ece7cea4cd385",
+    "sn": "6735e906f2654ea6f57e793906564837557783662cacdafee5038b97a809e152",
+    "sn2": "0e9c22f08d3b037114823809c375059065d218f4d9a87055c923010fca86b2d8",
 }
 
 

@@ -61,6 +61,10 @@ class TestParseConfig:
             ["--power-source", "cmd:"],
             ["--snapshot", "-1"],
             ["--no-such-flag"],
+            ["--dt", "nan"],
+            ["--dt", "inf"],
+            ["--cfl", "nan"],
+            ["--cfl", "inf"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

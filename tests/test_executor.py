@@ -147,9 +147,11 @@ class TestDeterminism:
             c: np.array(v)
             for c, v in exe.execute_plan(plans8["bl"], store).items()
         }
-        # shrink numpy slabs to 2 planes, then run with several workers
+        # shrink numpy slabs to 2 planes; the k-ranges of 3 workers then
+        # hold 2, 3 and 3 planes, so they split into slabs unevenly
         monkeypatch.setattr(exe, "_SLAB_BYTES", 2 * 8 * 8 * 8)
-        assert len(exe._slab_spans(grid8.n)) == 4
+        assert len(exe._slabs(0, grid8.n, grid8.n)) == 4
+        assert exe._slabs(2, 5, grid8.n) == [(2, 4), (4, 5)]
         for backend in backends():
             kernel = cbackend.KERNELS.lookup(plans8["bl"], grid8.n)
             assert kernel.backend == backend, kernel.reason
@@ -228,6 +230,37 @@ class TestErrors:
             store.set_interior("rhoE", 1e301)
             with pytest.raises(NumericalBlowupError, match=r"step 7"):
                 exe.execute_plan(plans8["bl"], store, step=7)
+
+    def test_residuals_are_searched_only_when_a_phase_counts_one(
+        self, plans8, grid8, monkeypatch, backends
+    ):
+        # the phases count the non-finite residuals they store; the numpy
+        # search for the first bad point runs only when that count is not 0
+        calls = []
+        original = exe._check_residuals
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(exe, "_check_residuals", counted)
+        for backend in backends():
+            calls.clear()
+            exe.execute_plan(plans8["sn"], _random_store(grid8, seed=4), workers=2)
+            assert calls == [], backend
+            # an energy flux of 1e301 * 1e150 overflows near (3, 4, 5)
+            store = _random_store(grid8, seed=4)
+            for name, value in (("rhou0", 1e150), ("rhoE", 1e301)):
+                field = np.array(store.interior(name))
+                field[3, 4, 5] = value
+                store.set_interior(name, field)
+            with pytest.raises(NumericalBlowupError) as raised:
+                exe.execute_plan(plans8["sn"], store, workers=2, step=1, stage=2)
+            assert str(raised.value) == (
+                "non-finite residual for rhoE at interior point (1, 4, 5)"
+                " (step 1, stage 2)"
+            ), backend
+            assert len(calls) == 1, backend
 
     def test_spacing_mismatch(self, eqset, grid8, backends):
         other = pl.build_plan(eqset, "bl", Grid(16).h)

@@ -102,14 +102,14 @@ class TestFieldStore:
         names = set(store.names())
         for name in ("rho", "rhou0", "rhoE", "u0", "p", "T", "res_rho"):
             assert name in names
-        assert len(names) == 15
+        assert len(names) == 20
 
     def test_work_allocation_idempotent(self):
         store = FieldStore(Grid(8))
         store.ensure_work(("d_a", "d_b"))
         store.ensure_work(("d_a", "d_b"))
         assert store.names()[-2:] == ("d_a", "d_b")
-        assert len(store.names()) == 17
+        assert len(store.names()) == 22
         assert store.full("d_a").shape == (16, 16, 16)
 
     def test_layout_is_axis0_fastest(self):

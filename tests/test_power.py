@@ -151,6 +151,13 @@ class TestCommandSource:
         assert sample.power is None and sample.cumulative_energy is None
         assert "degraded" in caplog.records[0].getMessage()
 
+    def test_child_that_exits_silently_fails_at_once(self):
+        start = time.perf_counter()
+        with CommandSource([sys.executable, "-c", "pass"], timeout=5.0) as src:
+            with pytest.raises(PowerError, match="no power value"):
+                src.read()
+        assert time.perf_counter() - start < 2.5
+
     def test_silent_child_costs_one_timeout(self):
         script = "import time; time.sleep(30)"
         with CommandSource([sys.executable, "-c", script], timeout=1.0) as src:

@@ -86,6 +86,10 @@ class TestRunConfig:
             {"cfl": -1.0},
             {"snapshot_every": -1},
             {"workers": 0},
+            {"dt": math.nan},
+            {"dt": math.inf},
+            {"cfl": math.nan},
+            {"cfl": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -177,11 +181,12 @@ class TestRK3Step:
             drift = np.abs(store.interior(name) - initial).max()
             assert drift <= 1e-13 * scale, name
 
-    def test_rejects_non_positive_dt(self, eqs):
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_non_positive_dt(self, eqs, dt):
         grid = Grid(8)
         plan = build_plan(eqs, "bl", grid.h)
         with pytest.raises(ValueError, match="dt"):
-            rk3_step(_uniform_store(grid), plan, dt=0.0)
+            rk3_step(_uniform_store(grid), plan, dt=dt)
 
     def test_deterministic_across_reruns(self, eqs):
         grid = Grid(16)
