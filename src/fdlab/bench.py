@@ -196,7 +196,7 @@ def run_matrix(
             **asdict(counters),
             "ops_per_timestep": counters.ops_per_timestep(config.n),
         }
-        plans.append((result.plan, config.n))
+        plans.append(result.plan)
     report.backend = cbackend.KERNELS.describe(plans)
     report.rows.sort(key=lambda r: (_variant_rank(r.variant), r.repeat))
     report.aggregates = aggregate(report.rows)

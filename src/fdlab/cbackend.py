@@ -29,9 +29,9 @@ Every phase function takes the array of base pointers of the padded
 Fortran-order fields plus a range ``[k0, k1)`` of interior planes along
 axis 2, so the caller can split any phase across threads. It returns how
 many non-finite values it stored into residual arrays, tested on the
-value still in its register. The grid size is a compile-time constant: a
-plan's stencil weights already depend on the spacing, so a kernel is
-tied to one grid anyway.
+value still in its register. A plan carries the grid its stencil
+weights were scaled for, and the generator reads n from it, so the grid
+size stays a compile-time constant of the kernel.
 
 The translation unit ends with ``fd_update``, one RK stage's update over
 the same k-ranges: ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
@@ -42,9 +42,9 @@ accumulators.
 Built libraries are cached on disk under a per-user directory in the
 system temp dir, keyed by the sha256 of the generated source plus the
 compiler's version line and the flags, and loaded kernels are memoised in
-process by ``(plan, n)``. When the compiler is missing or fails, lookup
-returns a kernel without functions and the reason why; the executor then
-runs the numpy reference evaluator.
+process by plan. When the compiler is missing or fails, lookup returns a
+kernel without functions and the reason why; the executor then runs the
+numpy reference evaluator.
 """
 
 from __future__ import annotations
@@ -267,8 +267,9 @@ def _update_function(n, pointers) -> str:
     return "\n".join([_function(signature, decls, body, n), "}", ""])
 
 
-def generate_source(plan: KernelPlan, n: int) -> str:
-    """The complete C translation unit for the plan on an n^3 grid."""
+def generate_source(plan: KernelPlan) -> str:
+    """The complete C translation unit for the plan on its n^3 grid."""
+    n = plan.grid.n
     table = _pointer_table(plan)
     pointers = {name: slot for slot, name in enumerate(table)}
     powers: set[int] = set()
@@ -277,7 +278,7 @@ def generate_source(plan: KernelPlan, n: int) -> str:
         for phase in plan.phases
     ] + [_update_function(n, pointers)]
     header = (
-        f"/* fdlab kernel: policy {plan.policy}, n={n}, h={plan.h!r}.\n"
+        f"/* fdlab kernel: policy {plan.policy}, n={n}, h={plan.grid.h!r}.\n"
         f"   Pointer table: {' '.join(table)} */\n"
     )
     return "\n".join(
@@ -374,18 +375,19 @@ class Kernel:
 
 
 class KernelCache:
-    """Loaded kernels by (plan, n), backed by a directory of libraries.
+    """Loaded kernels by plan, backed by a directory of libraries.
 
-    The first lookup of a plan hashes it (under a millisecond or so); the
-    identity check in front of the dictionary makes repeated lookups of
-    the same plan object free.
+    A plan carries its grid, so it is the whole key. The first lookup of
+    a plan hashes it and compares it node by node with an equal key (a
+    millisecond or so); the identity check in front of the dictionary
+    makes repeated lookups of the same plan object free.
     """
 
     def __init__(self, directory: Path | None = None, compiler: str = COMPILER):
         self._directory = Path(directory) if directory else None
         self.compiler = compiler
-        self._kernels: dict[tuple[KernelPlan, int], Kernel] = {}
-        self._last: tuple[KernelPlan, int, Kernel] | None = None
+        self._kernels: dict[KernelPlan, Kernel] = {}
+        self._last: tuple[KernelPlan, Kernel] | None = None
         self._lock = threading.Lock()
 
     @property
@@ -395,22 +397,22 @@ class KernelCache:
             self._directory = default_cache_dir()
         return self._directory
 
-    def lookup(self, plan: KernelPlan, n: int) -> Kernel:
+    def lookup(self, plan: KernelPlan) -> Kernel:
         last = self._last
-        if last is not None and last[0] is plan and last[1] == n:
-            return last[2]
+        if last is not None and last[0] is plan:
+            return last[1]
         with self._lock:
-            kernel = self._kernels.get((plan, n))
+            kernel = self._kernels.get(plan)
             if kernel is None:
-                kernel = self._load(plan, n)
-                self._kernels[(plan, n)] = kernel
-            self._last = (plan, n, kernel)
+                kernel = self._load(plan)
+                self._kernels[plan] = kernel
+            self._last = (plan, kernel)
         return kernel
 
-    def _load(self, plan: KernelPlan, n: int) -> Kernel:
-        kernel = Kernel(plan.policy, n)
+    def _load(self, plan: KernelPlan) -> Kernel:
+        kernel = Kernel(plan.policy, plan.grid.n)
         try:
-            source = generate_source(plan, n)
+            source = generate_source(plan)
         except UnsupportedPlan as err:
             kernel.reason = f"code generation: {err}"
             return kernel
@@ -471,15 +473,15 @@ class KernelCache:
         return library_path
 
     def describe(self, plans) -> dict:
-        """Provenance of the kernels that ran the given (plan, n) pairs;
-        pairs never looked up are left out."""
+        """Provenance of the kernels that ran the given plans; plans
+        never looked up are left out."""
         kernels = {}
-        for plan, n in plans:
+        for plan in plans:
             with self._lock:
-                kernel = self._kernels.get((plan, n))
+                kernel = self._kernels.get(plan)
             if kernel is None:
                 continue
-            entry = {"n": n, "backend": kernel.backend}
+            entry = {"n": kernel.n, "backend": kernel.backend}
             if kernel.sha256:
                 entry["sha256"] = kernel.sha256
             if kernel.reason:

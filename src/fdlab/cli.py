@@ -101,8 +101,6 @@ def parse_config(argv=None) -> tuple[RunConfig, argparse.Namespace]:
     """Turn CLI flags into a run configuration plus report options."""
     parser = _build_parser()
     options = parser.parse_args(argv)
-    if options.grid < 8:
-        parser.error(f"--grid must be at least 8, got {options.grid}")
     try:
         config = RunConfig(
             n=options.grid,
@@ -114,7 +112,7 @@ def parse_config(argv=None) -> tuple[RunConfig, argparse.Namespace]:
             out_dir=options.out,
             snapshot_every=options.snapshot,
         )
-    except ValueError as err:
+    except (FdlabError, ValueError) as err:
         parser.error(str(err))
     _check_power_spec(options.power_source, parser)
     return config, options
@@ -131,13 +129,13 @@ def _emit_plan(config: RunConfig, options) -> int:
     eqs = build_equations(config.params)
     variants = _selected_variants(options)
     if len(variants) == 1:
-        text = dump_plan(build_plan(eqs, variants[0], grid.h))
+        text = dump_plan(build_plan(eqs, variants[0], grid))
     else:
         # bundle all six dumps in canonical order, delimited by headers
         pieces = []
         for variant in variants:
             pieces.append(f"### plan {variant}\n")
-            pieces.append(dump_plan(build_plan(eqs, variant, grid.h)))
+            pieces.append(dump_plan(build_plan(eqs, variant, grid)))
         text = "".join(pieces)
     with open(options.emit_plan, "w") as fh:
         fh.write(text)

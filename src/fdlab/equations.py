@@ -94,7 +94,6 @@ class DerivativeEntry:
 class EquationSet:
     """Primitive definitions, five residuals, and the derivative census."""
 
-    params: FlowParams
     primitives: tuple[Statement, ...]
     residuals: tuple[ex.Expr, ...]
     derivatives: tuple[DerivativeEntry, ...] = field(repr=False)
@@ -277,7 +276,6 @@ def build_equations(params: FlowParams) -> EquationSet:
         _energy(params),
     )
     return EquationSet(
-        params=params,
         primitives=tuple(build_primitives(params)),
         residuals=residuals,
         derivatives=census(residuals),

@@ -24,7 +24,6 @@ any slab width and any worker count.
 from __future__ import annotations
 
 import functools
-import math
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -231,10 +230,15 @@ def _bind(plan: KernelPlan, store: FieldStore):
     pointer table when the kernel built (see ``cbackend``), the numpy
     reference otherwise. A phase is a callable over planes [k0, k1) that
     returns how many non-finite values it stored into residual arrays;
-    the update is a callable (a_k, bdt, k0, k1)."""
+    the update is a callable (a_k, bdt, k0, k1). A store on another grid
+    than the plan's is refused."""
+    if plan.grid != store.grid:
+        raise GridError(
+            f"plan spacing {plan.grid.h} does not match grid spacing {store.grid.h}"
+        )
     store.ensure_work(plan.arrays)
     n = store.grid.n
-    kernel = cbackend.KERNELS.lookup(plan, n)
+    kernel = cbackend.KERNELS.lookup(plan)
     arrays = {name: store.full(name) for name in store.names()}
     if kernel.functions is None:
         phases = [_numpy_phase(p.statements, arrays, n) for p in plan.phases]
@@ -266,15 +270,12 @@ def execute_plan(
     test runs only when that count is nonzero, to name the first bad
     point. `step` and `stage` only label the messages of those errors.
     """
-    grid = store.grid
-    if not math.isclose(plan.h, grid.h, rel_tol=1e-12, abs_tol=0.0):
-        raise GridError(f"plan spacing {plan.h} does not match grid spacing {grid.h}")
     functions, _ = _bind(plan, store)
     for name in COMPONENT_NAMES:
         store.exchange(name)
     check_positive(store.interior("rho"), "density", step, stage)
 
-    spans = _worker_spans(grid.n, workers)
+    spans = _worker_spans(store.grid.n, workers)
     nonfinite = 0
     for index, (phase, function) in enumerate(zip(plan.phases, functions)):
         nonfinite += sum(_launch(function, spans, workers))

@@ -64,15 +64,10 @@ def halo_exchange_periodic(field: np.ndarray) -> np.ndarray:
     if field.ndim != 3 or min(field.shape) < 2 * HALO + 1:
         raise GridError(f"expected a padded 3d field, got shape {field.shape}")
     for axis in range(3):
-        n = field.shape[axis] - 2 * HALO
-
-        def span(a: int, b: int) -> tuple[slice, ...]:
-            return tuple(
-                slice(a, b) if ax == axis else slice(None) for ax in range(3)
-            )
-
-        field[span(0, HALO)] = field[span(n, n + HALO)]
-        field[span(n + HALO, n + 2 * HALO)] = field[span(HALO, HALO + HALO)]
+        view = field.swapaxes(0, axis)
+        n = view.shape[0] - 2 * HALO
+        view[:HALO] = view[n : n + HALO]
+        view[n + HALO :] = view[HALO : 2 * HALO]
     return field
 
 

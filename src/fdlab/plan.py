@@ -31,6 +31,7 @@ from . import expr as ex
 from . import stencils
 from .equations import EquationSet, Statement
 from .errors import PlanError
+from .grid import Grid
 
 
 #: The six variants in report order. Each row says where a velocity
@@ -76,7 +77,8 @@ class Phase:
 @dataclass(frozen=True)
 class KernelPlan:
     policy: str
-    h: float
+    #: The grid the stencil weights were scaled for.
+    grid: Grid
     #: The launch schedule: primitive, one phase per work array, point.
     phases: tuple[Phase, ...]
     counters: PlanCounters
@@ -171,13 +173,11 @@ def _schedule(groups) -> tuple[tuple[Phase, ...], PlanCounters]:
     return phases, counters
 
 
-def build_plan(eqset: EquationSet, policy: str, h: float) -> KernelPlan:
-    """Lower the equation set under one ``VARIANTS`` row at spacing h."""
+def build_plan(eqset: EquationSet, policy: str, grid: Grid) -> KernelPlan:
+    """Lower the equation set under one ``VARIANTS`` row for the grid."""
     if policy not in VARIANTS:
         raise PlanError(f"unknown storage policy {policy!r}")
     gradient, other, grouped = VARIANTS[policy]
-    if h <= 0:
-        raise PlanError(f"grid spacing must be positive, got {h}")
     if len(eqset.derivatives) != 63:
         raise PlanError(
             f"expected a census of 63 derivatives, got {len(eqset.derivatives)}"
@@ -186,6 +186,7 @@ def build_plan(eqset: EquationSet, policy: str, h: float) -> KernelPlan:
         raise PlanError("expected 9 velocity-gradient members in the census")
 
     stored = _storage_assignment(eqset, gradient, other)
+    h = grid.h
 
     work = tuple(
         Statement("array", entry.name, stencils.expand(entry.node, h, stored))
@@ -216,14 +217,14 @@ def build_plan(eqset: EquationSet, policy: str, h: float) -> KernelPlan:
         ("fd_point", tuple(point)),
     ]
     phases, counters = _schedule(groups)
-    return KernelPlan(policy=policy, h=h, phases=phases, counters=counters)
+    return KernelPlan(policy=policy, grid=grid, phases=phases, counters=counters)
 
 
 def dump_plan(plan: KernelPlan) -> str:
     """Deterministic JSON document describing the plan."""
     doc = {
         "policy": plan.policy,
-        "h": plan.h,
+        "h": plan.grid.h,
         "counters": asdict(plan.counters),
         "phases": {
             "primitive": [_stmt_doc(s) for s in plan.phases[0].statements],

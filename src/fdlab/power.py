@@ -40,8 +40,6 @@ class PowerSample:
 class PowerSource:
     """Base class; read() never blocks past the configured timeout."""
 
-    kind = "null"
-
     def read(self) -> PowerSample:
         return PowerSample(t=time.perf_counter())
 
@@ -49,7 +47,7 @@ class PowerSource:
         pass
 
     def describe(self) -> str:
-        return self.kind
+        return "null"
 
     def __enter__(self):
         return self
@@ -65,8 +63,6 @@ class NullSource(PowerSource):
 
 class MockSource(PowerSource):
     """Power as a function of seconds since the source was opened."""
-
-    kind = "mock"
 
     def __init__(self, fn, label="mock"):
         self._fn = fn
@@ -85,8 +81,6 @@ class CounterFileSource(PowerSource):
     """Cumulative microjoule counters, one integer per file, summed across
     paths. Wrap-around is corrected per path as (new - old + max) mod max,
     so the reported Joules are non-decreasing."""
-
-    kind = "counter"
 
     def __init__(self, paths, counter_max: int = DEFAULT_COUNTER_MAX):
         if not paths:
@@ -129,8 +123,6 @@ class CommandSource(PowerSource):
     one without blocking on the child, so a silent child costs one timeout.
     A program that cannot be started makes every read() fail at once.
     """
-
-    kind = "cmd"
 
     def __init__(self, argv, timeout: float = COMMAND_TIMEOUT_S):
         if not argv:

@@ -58,6 +58,7 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        Grid(self.n)  # the one validator of a grid size
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
         if self.repeats < 1:
@@ -179,14 +180,14 @@ def run(
     last step.
     """
     grid = Grid(config.n)
-    plan = build_plan(build_equations(config.params), config.policy, grid.h)
+    plan = build_plan(build_equations(config.params), config.policy, grid)
     store = init_tgv(grid, config.params)
     dt = config.dt if config.dt is not None else compute_timestep(
         store, config.params, config.cfl
     )
     # Build or load the kernel now, so a cold compile lands in set-up and
     # never in a timed step; execute_plan's own lookup then hits.
-    cbackend.KERNELS.lookup(plan, grid.n)
+    cbackend.KERNELS.lookup(plan)
     if source is None:
         source = NullSource()
     integrator = EnergyIntegrator()

@@ -52,10 +52,6 @@ class StencilCoeffs:
         scale = h if self.derivative_order == 1 else h * h
         return tuple((shift, float(w) / scale) for shift, w in self.taps)
 
-    @property
-    def width(self) -> int:
-        return max(abs(s) for s, _ in self.taps)
-
 
 def first_derivative_stencil() -> StencilCoeffs:
     return StencilCoeffs(1, FIRST_DERIVATIVE_WEIGHTS)

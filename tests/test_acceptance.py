@@ -56,8 +56,8 @@ def eqs():
 
 @pytest.fixture(scope="module")
 def plans32(eqs):
-    h = Grid(32).h
-    return {v: build_plan(eqs, v, h) for v in VARIANTS}
+    grid = Grid(32)
+    return {v: build_plan(eqs, v, grid) for v in VARIANTS}
 
 
 def test_criterion_01_storage_counter_table(eqs, plans32, capsys):
@@ -142,7 +142,7 @@ def test_criterion_05_conservation(eqs, plans32, capsys):
 
     # residual grid sums on random periodic states
     grid16 = Grid(16)
-    plan16 = build_plan(eqs, "bl", grid16.h)
+    plan16 = build_plan(eqs, "bl", grid16)
     worst_residual = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -409,8 +409,8 @@ def test_criterion_10_published_ratio_fixtures(capsys):
 
 def test_criterion_11_determinism(eqs, capsys):
     grid = Grid(16)
-    plan_a = build_plan(eqs, "sn", grid.h)
-    plan_b = build_plan(eqs, "sn", grid.h)
+    plan_a = build_plan(eqs, "sn", grid)
+    plan_b = build_plan(eqs, "sn", grid)
     dumps_ok = dump_plan(plan_a).encode() == dump_plan(plan_b).encode()
 
     residual_sets = []
@@ -437,7 +437,7 @@ def test_criterion_12_informational_large_grid_speedup(eqs, capsys):
         grid = Grid(128)
         timings = {}
         for variant in ("bl", "ra", "sn", "sn2"):
-            plan = build_plan(eqs, variant, grid.h)
+            plan = build_plan(eqs, variant, grid)
             store = init_tgv(grid, PARAMS)
             execute_plan(plan, store)  # warm
             best = math.inf

@@ -205,10 +205,10 @@ class TestValidateMode:
     def test_perturbed_plan_fails(self, monkeypatch):
         perturbed_eqs = build_equations(FlowParams(reynolds=800.0))
 
-        def crooked_build_plan(eqs, variant, h):
+        def crooked_build_plan(eqs, variant, grid):
             if variant == "sn":
-                return build_plan(perturbed_eqs, variant, h)
-            return build_plan(eqs, variant, h)
+                return build_plan(perturbed_eqs, variant, grid)
+            return build_plan(eqs, variant, grid)
 
         monkeypatch.setattr(solver, "build_plan", crooked_build_plan)
         report = validate_mode(RunConfig(n=16, steps=2))
@@ -217,8 +217,8 @@ class TestValidateMode:
         assert max(report.deviations["sn"].values()) > report.tolerance
 
     def test_failed_run_reports_context(self, monkeypatch):
-        def explosive_build_plan(eqs, variant, h):
-            plan = build_plan(eqs, variant, h)
+        def explosive_build_plan(eqs, variant, grid):
+            plan = build_plan(eqs, variant, grid)
             if variant == "ra":
                 raise RuntimeError("synthetic failure")
             return plan
@@ -256,7 +256,7 @@ def _mini_report(variants=("bl", "sn"), repeats=2, with_energy=True):
     eqs = build_equations(FlowParams())
     counters = {}
     for variant in variants:
-        c = build_plan(eqs, variant, Grid(16).h).counters
+        c = build_plan(eqs, variant, Grid(16)).counters
         counters[variant] = {**vars(c), "ops_per_timestep": c.ops_per_timestep(16)}
     report = BenchReport(config={"n": 16, "steps": 4})
     report.rows = sorted(rows, key=lambda r: (r.variant, r.repeat))

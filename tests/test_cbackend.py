@@ -72,13 +72,13 @@ def _count_compiles(monkeypatch):
 def test_residuals_byte_equal_numpy(eqset, monkeypatch, tmp_path, variant, n):
     # the residuals check the phases; the solution after one step, fd_update
     grid = Grid(n)
-    plan = build_plan(eqset, variant, grid.h)
-    kernel = cbackend.KERNELS.lookup(plan, n)
+    plan = build_plan(eqset, variant, grid)
+    kernel = cbackend.KERNELS.lookup(plan)
     assert kernel.backend == "c", kernel.reason
     compiled = {w: _result_bytes(plan, grid, w) for w in (1, 3)}
     monkeypatch.setattr(cbackend, "KERNELS", cbackend.KernelCache(tmp_path, MISSING))
     reference = _result_bytes(plan, grid, 1)
-    assert cbackend.KERNELS.lookup(plan, n).backend == "numpy"
+    assert cbackend.KERNELS.lookup(plan).backend == "numpy"
     assert len(reference) == 10
     for workers, got in compiled.items():
         for name, want in reference.items():
@@ -90,8 +90,8 @@ def test_residuals_byte_equal_numpy(eqset, monkeypatch, tmp_path, variant, n):
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 mnemonics only")
 @pytest.mark.parametrize("variant", ["ra", "sn"])
 def test_point_loop_is_vectorised(eqset, tmp_path, variant):
-    plan = build_plan(eqset, variant, Grid(16).h)
-    kernel = cbackend.KernelCache(tmp_path).lookup(plan, 16)
+    plan = build_plan(eqset, variant, Grid(16))
+    kernel = cbackend.KernelCache(tmp_path).lookup(plan)
     assert kernel.backend == "c", kernel.reason
     (library,) = tmp_path.glob("*.so")
     for function in ("fd_point", "fd_update"):
@@ -118,7 +118,7 @@ def test_one_pool_serves_every_launch(eqset, monkeypatch):
     exe._pool.cache_clear()
     try:
         grid = Grid(8)
-        plan = build_plan(eqset, "bl", grid.h)  # 65 phases and fd_update
+        plan = build_plan(eqset, "bl", grid)  # 65 phases and fd_update
         store = _random_store(grid, seed=3)
         for step in (1, 2):
             rk3_step(store, plan, dt=1e-4, workers=2, step=step)
@@ -127,7 +127,7 @@ def test_one_pool_serves_every_launch(eqset, monkeypatch):
     assert made == [2]
 
 
-#: sha256 of generate_source(build_plan(eqset, variant, Grid(16).h), 16). A
+#: sha256 of generate_source(build_plan(eqset, variant, Grid(16))). A
 #: change here changes every kernel-cache key, so the next run of each
 #: variant compiles again.
 SOURCE_SHA256 = {
@@ -142,7 +142,7 @@ SOURCE_SHA256 = {
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_generated_source_is_pinned(eqset, variant):
-    source = cbackend.generate_source(build_plan(eqset, variant, Grid(16).h), 16)
+    source = cbackend.generate_source(build_plan(eqset, variant, Grid(16)))
     assert hashlib.sha256(source.encode()).hexdigest() == SOURCE_SHA256[variant]
 
 
@@ -193,19 +193,19 @@ def test_provenance_names_compiler_and_library(monkeypatch, tmp_path):
 def test_second_lookup_does_not_compile(eqset, monkeypatch, tmp_path):
     cache = cbackend.KernelCache(tmp_path)
     calls = _count_compiles(monkeypatch)
-    h = Grid(8).h
-    first = cache.lookup(build_plan(eqset, "sn", h), 8)
-    again = cache.lookup(build_plan(eqset, "sn", h), 8)  # equal, not identical
+    grid = Grid(8)
+    first = cache.lookup(build_plan(eqset, "sn", grid))
+    again = cache.lookup(build_plan(eqset, "sn", grid))  # equal, not identical
     assert first.backend == "c" and again is first
     assert len(calls) == 1
 
 
 @needs_compiler
 def test_disk_cache_is_reused_after_memo_cleared(eqset, monkeypatch, tmp_path):
-    plan = build_plan(eqset, "sn2", Grid(8).h)
-    first = cbackend.KernelCache(tmp_path).lookup(plan, 8)
+    plan = build_plan(eqset, "sn2", Grid(8))
+    first = cbackend.KernelCache(tmp_path).lookup(plan)
     calls = _count_compiles(monkeypatch)
-    second = cbackend.KernelCache(tmp_path).lookup(plan, 8)
+    second = cbackend.KernelCache(tmp_path).lookup(plan)
     assert second.backend == "c" and second is not first
     assert second.sha256 == first.sha256
     assert calls == []
@@ -214,15 +214,15 @@ def test_disk_cache_is_reused_after_memo_cleared(eqset, monkeypatch, tmp_path):
 @needs_compiler
 def test_compiler_error_falls_back(eqset, monkeypatch, tmp_path):
     monkeypatch.setattr(cbackend, "FLAGS", cbackend.FLAGS + ("-fno-such-flag",))
-    plan = build_plan(eqset, "ss", Grid(8).h)
-    kernel = cbackend.KernelCache(tmp_path).lookup(plan, 8)
+    plan = build_plan(eqset, "ss", Grid(8))
+    kernel = cbackend.KernelCache(tmp_path).lookup(plan)
     assert kernel.backend == "numpy"
     assert "-fno-such-flag" in kernel.reason
     assert list(tmp_path.iterdir()) == []
 
 
 def test_source_uses_exact_literals_and_left_folds(eqset):
-    source = cbackend.generate_source(build_plan(eqset, "bl", Grid(8).h), 8)
+    source = cbackend.generate_source(build_plan(eqset, "bl", Grid(8)))
     assert "(0x1.9999999999998p-2)" in source  # gamma - 1, from 0.3999999999999999
     assert "fd_pow2(v_u0)" in source
     assert "((fd_pow2(v_u0) + fd_pow2(v_u1)) + fd_pow2(v_u2))" in source
@@ -235,14 +235,14 @@ def test_source_uses_exact_literals_and_left_folds(eqset):
 
 def test_plan_the_generator_cannot_express_runs_on_numpy(eqset, tmp_path):
     # A work statement that taps its own target has no single-pass C form.
-    plan = build_plan(eqset, "rs", Grid(8).h)
+    plan = build_plan(eqset, "rs", Grid(8))
     primitive, work, *rest = plan.phases
     first = work.statements[0]
     tapped = ex.add(first.expr, ex.array(first.target, (1, 0, 0)))
     tapped_stmt = Statement("array", first.target, tapped)
     work = dataclasses.replace(work, statements=(tapped_stmt,))
     odd = dataclasses.replace(plan, phases=(primitive, work, *rest))
-    kernel = cbackend.KernelCache(tmp_path).lookup(odd, 8)
+    kernel = cbackend.KernelCache(tmp_path).lookup(odd)
     assert kernel.backend == "numpy"
     assert kernel.reason.startswith("code generation:")
     assert first.target in kernel.reason

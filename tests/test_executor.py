@@ -33,7 +33,7 @@ def grid8():
 
 @pytest.fixture(scope="module")
 def plans8(eqset, grid8):
-    return {v: pl.build_plan(eqset, v, grid8.h) for v in VARIANTS}
+    return {v: pl.build_plan(eqset, v, grid8) for v in VARIANTS}
 
 
 def _uniform_store(grid, params, u=(0.3, -0.2, 0.1), p=1.0):
@@ -153,7 +153,7 @@ class TestDeterminism:
         assert len(exe._slabs(0, grid8.n, grid8.n)) == 4
         assert exe._slabs(2, 5, grid8.n) == [(2, 4), (4, 5)]
         for backend in backends():
-            kernel = cbackend.KERNELS.lookup(plans8["bl"], grid8.n)
+            kernel = cbackend.KERNELS.lookup(plans8["bl"])
             assert kernel.backend == backend, kernel.reason
             for workers in (1, 3):
                 got = exe.execute_plan(plans8["bl"], store, workers=workers)
@@ -263,7 +263,7 @@ class TestErrors:
             assert len(calls) == 1, backend
 
     def test_spacing_mismatch(self, eqset, grid8, backends):
-        other = pl.build_plan(eqset, "bl", Grid(16).h)
+        other = pl.build_plan(eqset, "bl", Grid(16))
         for backend in backends():
             store = FieldStore(grid8)
             store.set_interior("rho", 1.0)
@@ -276,6 +276,15 @@ class TestErrors:
             store = FieldStore(Grid(16))
             with pytest.raises(GridError, match="spacing"):
                 exe.execute_plan(plans8["bl"], store)
+
+    def test_update_refuses_store_on_another_grid(self, eqset, grid8, backends):
+        other = pl.build_plan(eqset, "sn", Grid(16))
+        for backend in backends():
+            store = _random_store(grid8, seed=5)
+            before = np.array(store.interior("rho"))
+            with pytest.raises(GridError, match="spacing"):
+                exe.update_solution(other, store, 0.0, 1e-3)
+            assert store.interior("rho").tobytes() == before.tobytes(), backend
 
 
 class TestEvaluateExpression:

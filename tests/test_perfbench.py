@@ -10,8 +10,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Prints the backend a plan runs on.
 _BACKEND = """
 import fdlab
-plan = fdlab.build_plan(fdlab.build_equations(fdlab.FlowParams()), "sn", 1.0)
-print(fdlab.cbackend.KERNELS.lookup(plan, 8).backend)
+grid = fdlab.Grid(8)
+plan = fdlab.build_plan(fdlab.build_equations(fdlab.FlowParams()), "sn", grid)
+print(fdlab.cbackend.KERNELS.lookup(plan).backend)
 """
 
 

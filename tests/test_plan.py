@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 from collections import Counter
 
 import numpy as np
@@ -17,7 +16,7 @@ from fdlab.plan import VARIANTS
 
 from conftest import GridBindings, statements
 
-H = 2.0 * math.pi / 16
+H = Grid(16)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +66,7 @@ class TestCounters:
         assert c.extra_arrays == 63
 
     def test_counters_independent_of_spacing(self, eqset, plans):
-        other = pl.build_plan(eqset, "bl", 2.0 * math.pi / 256)
+        other = pl.build_plan(eqset, "bl", Grid(256))
         assert other.counters == plans["bl"].counters
 
 
@@ -215,7 +214,7 @@ class TestRecomputationCost:
         assert delta == re_expansion - plans["ss"].counters.locals
 
 
-#: sha256 of dump_plan at Grid(16).h. Any change to lowering, statement
+#: sha256 of dump_plan at Grid(16). Any change to lowering, statement
 #: order or the dump format shows here as a changed digest.
 DUMP_SHA256 = {
     "bl": "eb4d4ebfe0d85f3ba60b1f386d82214cce54fcd1d6041d010bb54be42a32aa1a",
@@ -230,7 +229,7 @@ DUMP_SHA256 = {
 class TestDump:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_dump_bytes_are_pinned(self, eqset, variant):
-        text = pl.dump_plan(pl.build_plan(eqset, variant, Grid(16).h))
+        text = pl.dump_plan(pl.build_plan(eqset, variant, Grid(16)))
         assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[variant]
 
     def test_roundtrip_counters(self, plans):
@@ -258,10 +257,6 @@ class TestValidation:
     def test_unknown_policy(self, eqset, policy):
         with pytest.raises(PlanError, match="unknown storage policy"):
             pl.build_plan(eqset, policy, H)
-
-    def test_bad_spacing(self, eqset):
-        with pytest.raises(PlanError):
-            pl.build_plan(eqset, "bl", 0.0)
 
     def test_census_precondition(self, eqset):
         import dataclasses

@@ -214,8 +214,6 @@ class TestParseSpec:
 
 
 class _BoomSource(PowerSource):
-    kind = "boom"
-
     def read(self):
         raise RuntimeError("meter unplugged")
 

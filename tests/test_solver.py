@@ -11,7 +11,7 @@ from fdlab import grid as grid_module
 from fdlab import solver as sv
 from fdlab.equations import FlowParams, build_equations
 from fdlab.expr import COMPONENT_NAMES
-from fdlab.errors import NumericalBlowupError, StateError
+from fdlab.errors import GridError, NumericalBlowupError, StateError
 from fdlab.grid import FieldStore, Grid, grid_sum, integral_diagnostics, read_snapshot
 from fdlab.plan import VARIANTS, build_plan
 from fdlab.power import MockSource
@@ -96,6 +96,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("n", [7, 8.5])
+    def test_rejects_a_size_no_grid_accepts(self, n):
+        with pytest.raises(GridError):
+            RunConfig(n=n)
+
 
 class TestInitTGV:
     def test_third_velocity_component_is_exactly_zero(self, store32):
@@ -149,7 +154,7 @@ class TestRK3Step:
         # the update reads the residuals from the store, not from the
         # dict execute_plan returns
         grid = Grid(8)
-        plan = build_plan(eqs, "bl", grid.h)
+        plan = build_plan(eqs, "bl", grid)
 
         def zero_residuals(plan, store, workers=1, step=None, stage=None):
             for name in COMPONENT_NAMES:
@@ -170,7 +175,7 @@ class TestRK3Step:
         # round to ~1e-16 per tap, so a few steps move nothing visible
         grid = Grid(8)
         store = _uniform_store(grid)
-        plan = build_plan(eqs, "sn", grid.h)
+        plan = build_plan(eqs, "sn", grid)
         reference = {
             name: store.interior(name).copy() for name in COMPONENT_NAMES
         }
@@ -184,13 +189,13 @@ class TestRK3Step:
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
     def test_rejects_non_positive_dt(self, eqs, dt):
         grid = Grid(8)
-        plan = build_plan(eqs, "bl", grid.h)
+        plan = build_plan(eqs, "bl", grid)
         with pytest.raises(ValueError, match="dt"):
             rk3_step(_uniform_store(grid), plan, dt=dt)
 
     def test_deterministic_across_reruns(self, eqs):
         grid = Grid(16)
-        plan = build_plan(eqs, "rs", grid.h)
+        plan = build_plan(eqs, "rs", grid)
         dt = 0.005
         outcomes = []
         for _ in range(2):
@@ -203,7 +208,7 @@ class TestRK3Step:
     def test_mass_and_momentum_conserved(self, eqs):
         grid = Grid(16)
         store = init_tgv(grid, PARAMS)
-        plan = build_plan(eqs, "bl", grid.h)
+        plan = build_plan(eqs, "bl", grid)
         dt = compute_timestep(store, PARAMS, 0.4)
         initial = {
             name: grid_sum(store.interior(name))
@@ -222,7 +227,7 @@ class TestRK3Step:
         # velocity gradients where a plan stores them: 3 or none)
         expected = 39 if variant in ("bl", "rs", "ss") else 30
         grid = Grid(8)
-        plan = build_plan(eqs, variant, grid.h)
+        plan = build_plan(eqs, variant, grid)
         calls = []
         exchange = grid_module.halo_exchange_periodic
 
@@ -243,7 +248,7 @@ class TestRK3Step:
         stores = {}
         for variant in VARIANTS:
             store = init_tgv(grid, PARAMS)
-            plan = build_plan(eqs, variant, grid.h)
+            plan = build_plan(eqs, variant, grid)
             for step in range(1, 4):
                 rk3_step(store, plan, dt=dt, step=step)
             stores[variant] = store
@@ -423,7 +428,7 @@ class TestKineticEnergyDecay:
     def test_monotone_decay_on_production_grid(self):
         grid = Grid(64)
         store = init_tgv(grid, PARAMS)
-        plan = build_plan(build_equations(PARAMS), "bl", grid.h)
+        plan = build_plan(build_equations(PARAMS), "bl", grid)
         dt = compute_timestep(store, PARAMS, 0.4)
         energies = [integral_diagnostics(store)["kinetic_energy"]]
         for step in range(1, 101):

@@ -46,10 +46,6 @@ class TestWeights:
         with pytest.raises(ExprError):
             st1.scaled(0.0)
 
-    def test_width(self):
-        assert stencils.first_derivative_stencil().width == 2
-        assert stencils.second_derivative_stencil().width == 2
-
 
 class TestExpansionStructure:
     def test_first_is_four_muls_three_adds(self):
