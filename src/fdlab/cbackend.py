@@ -29,15 +29,23 @@ Every phase function takes the array of base pointers of the padded
 Fortran-order fields plus a range ``[k0, k1)`` of interior planes along
 axis 2, so the caller can split any phase across threads. It returns how
 many non-finite values it stored into residual arrays, tested on the
-value still in its register. A plan carries the grid its stencil
-weights were scaled for, and the generator reads n from it, so the grid
-size stays a compile-time constant of the kernel.
+value still in its register, and how many points have an array of
+``phase.positive`` not positive (in ``fd_primitive``, ρ or p). A plan
+carries the grid its stencil weights were scaled for, and the generator
+reads n from it, so the grid size stays a compile-time constant of the
+kernel.
 
 The translation unit ends with ``fd_update``, one RK stage's update over
 the same k-ranges: ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
 ``sol = sol + (bdt*acc)``, the numpy reference's operations in its
 order. All functions index one pointer table: the plan's arrays, then the
 accumulators.
+
+The halo exchange is compiled too, from the fixed translation unit
+``EXCHANGE_SOURCE``: ``fd_exchange(f, n)`` makes numpy's per-axis copies
+of ``grid.halo_exchange_periodic`` in the same order, so the bytes are
+equal. It does not depend on any plan, so one library serves every grid
+size, and ``KernelCache.exchange`` builds and loads it like a kernel.
 
 Built libraries are cached on disk under a per-user directory in the
 system temp dir, keyed by the sha256 of the generated source plus the
@@ -197,11 +205,16 @@ def _function(signature, decls, body, n, reduction="") -> str:
     )
 
 
-def _phase_function(name, statements, n, pointers, powers) -> str:
-    """One C function running `statements` at every point of planes
-    [k0, k1); locals and arrays written here live in registers. It
-    returns how many non-finite values it stored into residual arrays."""
+def _phase_function(phase, n, pointers, powers) -> str:
+    """One C function running the phase's statements at every point of
+    planes [k0, k1); locals and arrays written here live in registers. It
+    returns how many non-finite values it stored into residual arrays,
+    plus how many points have an array of ``phase.positive`` not positive
+    (``!(v > 0)``, so NaN counts)."""
+    statements = phase.statements
     emit = _Emitter(n + 2 * HALO, pointers, {s.array for s in statements} - {None})
+    # One count per function, named for what fd_primitive and fd_point count.
+    count = "nonpositive" if phase.positive else "nonfinite"
     body = []
     written = []
     for stmt in statements:
@@ -214,25 +227,28 @@ def _phase_function(name, statements, n, pointers, powers) -> str:
         body.append(f"const double {register} = {value};")
         body.append(f"a_{target}[c] = {register};")
         if stmt.kind == "residual":
-            body.append(f"nonfinite += !__builtin_isfinite({register});")
+            body.append(f"{count} += !__builtin_isfinite({register});")
         emit.in_register[target] = register
         written.append(target)
+    if phase.positive:
+        tests = [f"!({emit.array(a, ZERO_OFFSET)} > 0.0)" for a, _ in phase.positive]
+        body.append(f"{count} += {' | '.join(tests)};")
     powers |= emit.powers
     decls = [
         f"    const double *restrict a_{array} = A[{pointers[array]}];"
         for array in sorted(emit.read, key=pointers.get)
     ] + [f"    double *restrict a_{t} = A[{pointers[t]}];" for t in written]
-    checked = any(s.kind == "residual" for s in statements)
+    counted = phase.positive or any(s.kind == "residual" for s in statements)
     return "\n".join(
         [
             _function(
-                f"long {name}(double *const *A, long k0, long k1)",
-                [*decls, "    long nonfinite = 0;"],
+                f"long {phase.name}(double *const *A, long k0, long k1)",
+                [*decls, f"    long {count} = 0;"],
                 body,
                 n,
-                " reduction(+:nonfinite)" if checked else "",
+                f" reduction(+:{count})" if counted else "",
             ),
-            "    return nonfinite;",
+            f"    return {count};",
             "}",
             "",
         ]
@@ -274,7 +290,7 @@ def generate_source(plan: KernelPlan) -> str:
     pointers = {name: slot for slot, name in enumerate(table)}
     powers: set[int] = set()
     functions = [
-        _phase_function(phase.name, phase.statements, n, pointers, powers)
+        _phase_function(phase, n, pointers, powers)
         for phase in plan.phases
     ] + [_update_function(n, pointers)]
     header = (
@@ -284,6 +300,38 @@ def generate_source(plan: KernelPlan) -> str:
     return "\n".join(
         [header, *(_power_function(e) for e in sorted(powers)), *functions]
     )
+
+
+#: ``fd_exchange(f, n)``: ``grid.halo_exchange_periodic`` of one cubic
+#: padded Fortran-order field of n >= HALO interior points per axis, the
+#: numpy loop's copies in its order. Axis 0 fills the halos of the
+#: interior (j, k) rows only and axis 1 those of the interior k planes,
+#: because the later axes overwrite the rest with copies of these.
+EXCHANGE_SOURCE = f"""/* fdlab periodic halo exchange, halo width {HALO}. */
+#include <string.h>
+
+#define H {HALO}L
+
+void fd_exchange(double *f, long n)
+{{
+    const long p = n + 2 * H;
+    const long plane = p * p;
+    for (long k = H; k < n + H; ++k) {{
+        for (long j = H; j < n + H; ++j) {{
+            double *row = f + p * j + plane * k;
+            memcpy(row, row + n, H * sizeof *f);
+            memcpy(row + n + H, row + H, H * sizeof *f);
+        }}
+    }}
+    for (long k = H; k < n + H; ++k) {{
+        double *slab = f + plane * k;
+        memcpy(slab, slab + p * n, H * p * sizeof *f);
+        memcpy(slab + p * (n + H), slab + p * H, H * p * sizeof *f);
+    }}
+    memcpy(f, f + plane * n, H * plane * sizeof *f);
+    memcpy(f + plane * (n + H), f + plane * H, H * plane * sizeof *f);
+}}
+"""
 
 
 # ---------------------------------------------------------------- building
@@ -374,6 +422,20 @@ class Kernel:
         return table
 
 
+@dataclass
+class Exchange:
+    """The loaded ``fd_exchange``, or the reason there is none, in which
+    case ``grid.halo_exchange_periodic`` runs its numpy loop."""
+
+    function: object = None
+    sha256: str | None = None
+    reason: str | None = None
+
+    @property
+    def backend(self) -> str:
+        return "numpy" if self.function is None else "c"
+
+
 class KernelCache:
     """Loaded kernels by plan, backed by a directory of libraries.
 
@@ -388,6 +450,7 @@ class KernelCache:
         self.compiler = compiler
         self._kernels: dict[KernelPlan, Kernel] = {}
         self._last: tuple[KernelPlan, Kernel] | None = None
+        self._exchange: Exchange | None = None
         self._lock = threading.Lock()
 
     @property
@@ -409,6 +472,26 @@ class KernelCache:
             self._last = (plan, kernel)
         return kernel
 
+    def exchange(self) -> Exchange:
+        """The compiled halo exchange, built or loaded on first use."""
+        exchange = self._exchange
+        if exchange is None:
+            with self._lock:
+                if self._exchange is None:
+                    self._exchange = self._load_exchange()
+                exchange = self._exchange
+        return exchange
+
+    def _load_exchange(self) -> Exchange:
+        try:
+            library, library_path = self._library(EXCHANGE_SOURCE)
+        except (CompilerUnavailable, OSError) as err:
+            return Exchange(reason=str(err))
+        function = library.fd_exchange
+        function.argtypes = (ctypes.c_void_p, ctypes.c_long)
+        function.restype = None
+        return Exchange(function, _sha256_file(library_path))
+
     def _load(self, plan: KernelPlan) -> Kernel:
         kernel = Kernel(plan.policy, plan.grid.n)
         try:
@@ -417,9 +500,7 @@ class KernelCache:
             kernel.reason = f"code generation: {err}"
             return kernel
         try:
-            version = compiler_version(self.compiler)
-            library_path = self._build(source, version)
-            library = ctypes.CDLL(str(library_path))
+            library, library_path = self._library(source)
         except (CompilerUnavailable, OSError) as err:
             kernel.reason = str(err)
             return kernel
@@ -440,6 +521,12 @@ class KernelCache:
         kernel.library = library
         kernel.sha256 = _sha256_file(library_path)
         return kernel
+
+    def _library(self, source: str) -> tuple[ctypes.CDLL, Path]:
+        """The loaded library of `source` and its path; raises
+        CompilerUnavailable or OSError."""
+        library_path = self._build(source, compiler_version(self.compiler))
+        return ctypes.CDLL(str(library_path)), library_path
 
     def _build(self, source: str, version: str) -> Path:
         """Path of the cached library for `source`, compiling it if absent.
@@ -473,25 +560,22 @@ class KernelCache:
         return library_path
 
     def describe(self, plans) -> dict:
-        """Provenance of the kernels that ran the given plans; plans
-        never looked up are left out."""
+        """Provenance of the kernels that ran the given plans, and of the
+        halo exchange; plans never looked up are left out, and the
+        exchange is None when it was never loaded."""
         kernels = {}
         for plan in plans:
             with self._lock:
                 kernel = self._kernels.get(plan)
             if kernel is None:
                 continue
-            entry = {"n": kernel.n, "backend": kernel.backend}
-            if kernel.sha256:
-                entry["sha256"] = kernel.sha256
-            if kernel.reason:
-                entry["reason"] = kernel.reason
-            kernels[kernel.policy] = entry
+            kernels[kernel.policy] = {"n": kernel.n, **_provenance(kernel)}
         try:
             version = compiler_version(self.compiler)
         except CompilerUnavailable:
             version = None
         reasons = [k["reason"] for k in kernels.values() if "reason" in k]
+        exchange = self._exchange
         return {
             "ran": "+".join(sorted({k["backend"] for k in kernels.values()})) or "none",
             "compiler": version,
@@ -499,8 +583,21 @@ class KernelCache:
             "cache_dir": str(self.directory),
             "kernels": kernels,
             "fallback_reason": reasons[0] if reasons else None,
+            "exchange": None if exchange is None else _provenance(exchange),
         }
 
 
-#: The process-wide cache execute_plan looks kernels up in.
+def _provenance(loaded: Kernel | Exchange) -> dict:
+    """Which backend runs `loaded`, and its library's sha256 or the
+    reason it fell back to numpy."""
+    entry = {"backend": loaded.backend}
+    if loaded.sha256:
+        entry["sha256"] = loaded.sha256
+    if loaded.reason:
+        entry["reason"] = loaded.reason
+    return entry
+
+
+#: The process-wide cache that execute_plan looks kernels up in and
+#: grid.halo_exchange_periodic its exchange.
 KERNELS = KernelCache()

@@ -27,6 +27,11 @@ PRIMITIVE_ARRAYS = ("u0", "u1", "u2", "p", "T")
 #: Per-point locals of the primitive phase.
 RECIPROCAL_DENSITY = "rinv"
 
+#: The arrays a physical state keeps positive at every point, with the
+#: quantity an error names, in the order they are tested: the density
+#: the primitive phase reads and the pressure it writes.
+POSITIVE = (("rho", "density"), ("p", "pressure"))
+
 
 @dataclass(frozen=True)
 class FlowParams:

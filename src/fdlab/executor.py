@@ -1,11 +1,11 @@
 """Application of a kernel plan to grid fields.
 
 ``execute_plan`` runs the plan's phases in launch order, refreshes the
-halos each phase names and checks the state, and ``update_solution``
-applies one RK stage's update, both through the callables of ``_bind``,
-the one place a backend is chosen: the compiled C kernel of ``cbackend``,
-or the numpy slab evaluator and update below, which are the reference
-the compiled code must match bit for bit.
+halos each phase names and names any bad state a phase counted, and
+``update_solution`` applies one RK stage's update, both through the
+callables of ``_bind``, the one place a backend is chosen: the compiled
+C kernel of ``cbackend``, or the numpy slab evaluator and update below,
+which are the reference the compiled code must match bit for bit.
 
 The numpy evaluator walks each statement's expression tree node by node
 over a slab of interior points, with field references resolved to
@@ -176,20 +176,21 @@ def _launch(function, spans, workers: int) -> list:
     return [future.result() for future in futures]
 
 
-def _numpy_phase(statements, arrays, n: int):
+def _numpy_phase(phase, arrays, n: int):
     """The numpy reference of one compiled phase function: run the
-    statements over planes [k0, k1), slab by slab, and return how many
-    non-finite values they stored into residual arrays."""
+    phase's statements over planes [k0, k1), slab by slab, and return how
+    many non-finite values they stored into residual arrays plus how many
+    points have an array of ``phase.positive`` not positive."""
 
     def run(k0: int, k1: int) -> int:
-        nonfinite = 0
-        # Overflow and NaN are legitimate runtime outcomes here; they are
-        # counted and named by the caller, so numpy's own warnings are
-        # noise (errstate is per-thread).
-        with np.errstate(over="ignore", invalid="ignore"):
+        bad = 0
+        # Overflow, NaN and a zero density are legitimate runtime outcomes
+        # here; they are counted and named by the caller, so numpy's own
+        # warnings are noise (errstate is per-thread).
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for z0, z1 in _slabs(k0, k1, n):
                 evaluator = _SlabEval(arrays, {}, n, z0, z1)
-                for stmt in statements:
+                for stmt in phase.statements:
                     value = evaluator(stmt.expr)
                     if stmt.array is None:
                         evaluator.locals[stmt.target] = value
@@ -197,8 +198,16 @@ def _numpy_phase(statements, arrays, n: int):
                     view = _view(arrays[stmt.array], n, ZERO_OFFSET, z0, z1)
                     np.copyto(view, value)
                     if stmt.kind == "residual":
-                        nonfinite += view.size - np.count_nonzero(np.isfinite(view))
-        return nonfinite
+                        bad += view.size - np.count_nonzero(np.isfinite(view))
+                if phase.positive:
+                    views = [
+                        _view(arrays[name], n, ZERO_OFFSET, z0, z1)
+                        for name, _ in phase.positive
+                    ]
+                    bad += np.count_nonzero(
+                        np.logical_or.reduce([~(v > 0) for v in views])
+                    )
+        return bad
 
     return run
 
@@ -229,8 +238,9 @@ def _bind(plan: KernelPlan, store: FieldStore):
     store's arrays: the compiled kernel's functions through its one
     pointer table when the kernel built (see ``cbackend``), the numpy
     reference otherwise. A phase is a callable over planes [k0, k1) that
-    returns how many non-finite values it stored into residual arrays;
-    the update is a callable (a_k, bdt, k0, k1). A store on another grid
+    returns how many non-finite values it stored into residual arrays and
+    how many points have an array of its ``positive`` not positive; the
+    update is a callable (a_k, bdt, k0, k1). A store on another grid
     than the plan's is refused."""
     if plan.grid != store.grid:
         raise GridError(
@@ -241,7 +251,7 @@ def _bind(plan: KernelPlan, store: FieldStore):
     kernel = cbackend.KERNELS.lookup(plan)
     arrays = {name: store.full(name) for name in store.names()}
     if kernel.functions is None:
-        phases = [_numpy_phase(p.statements, arrays, n) for p in plan.phases]
+        phases = [_numpy_phase(p, arrays, n) for p in plan.phases]
         return phases, _numpy_update(arrays, n)
     table = kernel.pointers(arrays)
     phases = [functools.partial(f, table) for f in kernel.functions]
@@ -264,28 +274,27 @@ def execute_plan(
     finds: it exchanges the solution on entry and, after each phase, the
     arrays in that phase's ``exchange``.
 
-    It also tests the state it reads: density on entry, pressure after
-    the first (primitive) phase and finite residuals at the end. The
-    phases count the non-finite residuals they store, so the residual
-    test runs only when that count is nonzero, to name the first bad
-    point. `step` and `stage` only label the messages of those errors.
+    It also tests the state it reads: the primitive phase counts the
+    points where density or pressure is not positive, and the point phase
+    the non-finite residuals it stores. Only a nonzero count runs the
+    numpy search that names the first bad point (density, then pressure,
+    then the residuals), so a healthy evaluation makes no pass over the
+    grid outside the phases. `step` and `stage` only label the messages
+    of those errors.
     """
     functions, _ = _bind(plan, store)
     for name in COMPONENT_NAMES:
         store.exchange(name)
-    check_positive(store.interior("rho"), "density", step, stage)
 
     spans = _worker_spans(store.grid.n, workers)
-    nonfinite = 0
-    for index, (phase, function) in enumerate(zip(plan.phases, functions)):
-        nonfinite += sum(_launch(function, spans, workers))
-        if index == 0:
-            check_positive(store.interior("p"), "pressure", step, stage)
+    for phase, function in zip(plan.phases, functions):
+        if sum(_launch(function, spans, workers)):
+            for name, quantity in phase.positive:
+                check_positive(store.interior(name), quantity, step, stage)
+            if any(s.kind == "residual" for s in phase.statements):
+                _check_residuals(store, step, stage)
         for name in phase.exchange:
             store.exchange(name)
-
-    if nonfinite:
-        _check_residuals(store, step, stage)
     return {component: store.residual(component) for component in COMPONENT_NAMES}
 
 

@@ -4,6 +4,12 @@ Every field lives in one padded allocation of shape (N+8)^3 with axis 0
 fastest (Fortran layout), so interior indexing in the point phase is
 branch-free and stencil taps are plain view shifts. Halo width is 4,
 wide enough for every footprint the planner can emit.
+
+``halo_exchange_periodic`` is the one exchange. A store's field runs the
+compiled ``fd_exchange`` of ``cbackend.KERNELS`` when that cache has one
+(it follows the kernels: no compiler, no compiled exchange); any other
+array, and every array without a compiler, runs the numpy loop, which is
+the reference the compiled copies match byte for byte.
 """
 
 from __future__ import annotations
@@ -59,10 +65,26 @@ def halo_exchange_periodic(field: np.ndarray) -> np.ndarray:
 
     Sequential per-axis copies: by the time axis 1 runs, axis 0's halos
     already hold interior images, so edge and corner regions come out
-    right without a separate pass.
+    right without a separate pass. A cubic, Fortran-order, writeable
+    float64 field with at least HALO interior points per axis makes these
+    copies in compiled code when ``cbackend.KERNELS`` has it.
     """
     if field.ndim != 3 or min(field.shape) < 2 * HALO + 1:
         raise GridError(f"expected a padded 3d field, got shape {field.shape}")
+    p = field.shape[0]
+    if (
+        field.shape == (p, p, p)
+        and p >= 3 * HALO
+        and field.dtype == np.float64
+        and field.flags.f_contiguous
+        and field.flags.writeable
+    ):
+        from . import cbackend  # imported here: cbackend imports this module
+
+        compiled = cbackend.KERNELS.exchange().function
+        if compiled is not None:
+            compiled(field.ctypes.data, p - 2 * HALO)
+            return field
     for axis in range(3):
         view = field.swapaxes(0, axis)
         n = view.shape[0] - 2 * HALO

@@ -13,6 +13,8 @@ The phases are the plan's launch schedule, the same for every backend:
 ``fd_primitive``, one ``fd_work_{i}`` per stored derivative array, then
 ``fd_point``. Each phase lists the arrays it writes that some statement
 reads at a neighbour point; their halos are refreshed after it runs.
+``fd_primitive`` also lists the arrays it must find positive, density
+and pressure, which it counts the bad points of.
 
 Operation counting normalization: ``ops_per_point`` sums the arithmetic
 of every statement expression plus one operation per scalar local
@@ -29,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 from . import expr as ex
 from . import stencils
-from .equations import EquationSet, Statement
+from .equations import POSITIVE, EquationSet, Statement
 from .errors import PlanError
 from .grid import Grid
 
@@ -66,12 +68,14 @@ class PlanCounters:
 @dataclass(frozen=True)
 class Phase:
     """One kernel launch: the C function name, the statements it runs at
-    every interior point, and the arrays whose halos are refreshed after
-    it."""
+    every interior point, the arrays whose halos are refreshed after it,
+    and the (array, quantity) pairs whose non-positive points it counts
+    once its statements ran."""
 
     name: str
     statements: tuple[Statement, ...]
     exchange: tuple[str, ...]
+    positive: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,9 @@ def _velocity_group(entry) -> int:
 
 
 def _schedule(groups) -> tuple[tuple[Phase, ...], PlanCounters]:
-    """Check and count the (name, statements) groups in launch order, and
-    give each phase the arrays it writes that some statement reads at a
-    nonzero offset.
+    """Check and count the (name, statements, positive) groups in launch
+    order, and give each phase the arrays it writes that some statement
+    reads at a nonzero offset.
 
     A local must be assigned earlier in its own phase; an array must be a
     solution field or written by an earlier statement.
@@ -132,7 +136,7 @@ def _schedule(groups) -> tuple[tuple[Phase, ...], PlanCounters]:
     writes = 0
     written = set(ex.COMPONENT_NAMES)
     offset_reads: set[str] = set()
-    for name, statements in groups:
+    for name, statements, _ in groups:
         assigned: set[str] = set()
         for stmt in statements:
             for ref in ex.references(stmt.expr):
@@ -159,8 +163,9 @@ def _schedule(groups) -> tuple[tuple[Phase, ...], PlanCounters]:
             name,
             statements,
             tuple(s.array for s in statements if s.array in offset_reads),
+            positive,
         )
-        for name, statements in groups
+        for name, statements, positive in groups
     )
     point = phases[-1].statements
     counters = PlanCounters(
@@ -212,9 +217,9 @@ def build_plan(eqset: EquationSet, policy: str, grid: Grid) -> KernelPlan:
     ]
 
     groups = [
-        ("fd_primitive", eqset.primitives),
-        *((f"fd_work_{i}", (stmt,)) for i, stmt in enumerate(work)),
-        ("fd_point", tuple(point)),
+        ("fd_primitive", eqset.primitives, POSITIVE),
+        *((f"fd_work_{i}", (stmt,), ()) for i, stmt in enumerate(work)),
+        ("fd_point", tuple(point), ()),
     ]
     phases, counters = _schedule(groups)
     return KernelPlan(policy=policy, grid=grid, phases=phases, counters=counters)

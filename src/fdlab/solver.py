@@ -18,7 +18,7 @@ from .equations import FlowParams, build_equations
 from .executor import check_positive, execute_plan, update_solution
 from .expr import COMPONENT_NAMES
 from .grid import FieldStore, Grid, write_snapshot
-from .plan import KernelPlan, build_plan
+from .plan import VARIANTS, KernelPlan, build_plan
 from .power import (
     EnergyIntegrator,
     IterationRecord,
@@ -59,6 +59,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         Grid(self.n)  # the one validator of a grid size
+        if self.policy not in VARIANTS:
+            raise ValueError(
+                f"unknown variant {self.policy!r}; known variants: {', '.join(VARIANTS)}"
+            )
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
         if self.repeats < 1:
@@ -167,11 +171,11 @@ def run(
 ) -> RunResult:
     """Initialize, advance `steps` timesteps, and monitor each boundary.
 
-    The plan's kernel is built or loaded before the first sample. The
-    monitor samples once before the loop and once at the end of every
-    iteration. Each record goes to `record_sink` as soon as it exists, so
-    a failing run still leaves the completed iterations on disk when the
-    sink writes through.
+    The plan's kernel and the halo exchange are built or loaded before
+    the first sample. The monitor samples once before the loop and once
+    at the end of every iteration. Each record goes to `record_sink` as
+    soon as it exists, so a failing run still leaves the completed
+    iterations on disk when the sink writes through.
 
     Each state is tested once, by the evaluation that reads it, so a bad
     state made by the last stage of step s is reported as step s+1,
@@ -185,9 +189,11 @@ def run(
     dt = config.dt if config.dt is not None else compute_timestep(
         store, config.params, config.cfl
     )
-    # Build or load the kernel now, so a cold compile lands in set-up and
-    # never in a timed step; execute_plan's own lookup then hits.
+    # Build or load the kernel and the halo exchange now, so a cold
+    # compile lands in set-up and never in a timed step; the lookups of
+    # execute_plan and halo_exchange_periodic then hit.
     cbackend.KERNELS.lookup(plan)
+    cbackend.KERNELS.exchange()
     if source is None:
         source = NullSource()
     integrator = EnergyIntegrator()

@@ -131,12 +131,12 @@ def test_one_pool_serves_every_launch(eqset, monkeypatch):
 #: change here changes every kernel-cache key, so the next run of each
 #: variant compiles again.
 SOURCE_SHA256 = {
-    "bl": "cf581bbf6f71967d3f48bab05fc82c47dc82413e20f3c8b4fbcda9d4a8195346",
-    "rs": "1096eb723226172aa7f5b45b4e7fa14cd775cb983b5e05ff2504add808a23048",
-    "ss": "f1e2b2b1f31acadde20a6398664e0f484263ab4424262f1cb20fb2d426d7f061",
-    "ra": "39e6e1da5872ce2ef103f46682a8dfe688112de9e1a37aa7cb1ece7cea4cd385",
-    "sn": "6735e906f2654ea6f57e793906564837557783662cacdafee5038b97a809e152",
-    "sn2": "0e9c22f08d3b037114823809c375059065d218f4d9a87055c923010fca86b2d8",
+    "bl": "15d00269cf4edf6b1be375821ab716e4ff4104b6924a4fd73fd618698f5434db",
+    "rs": "b162a402b4d47e58edbba5d936d3682e2fc73fbc262576f6ad9563e0d3bdf955",
+    "ss": "5b1d1baebefa46c8e605e234ecb77e25933e853e7f1f0a40f62cf86fece3ef5b",
+    "ra": "fed7cd11bce39ac3dca442cdc1cbcd4cf31700f61d65641c70dbc0553b6d9dbc",
+    "sn": "aaa18e267080944c6320ff89f0028398c4b337ac99ec7856da27a5482ad774cf",
+    "sn2": "2503f3005db00b6875792bb437726cc0613b0781bf03fdc31bb9f167a159c469",
 }
 
 
@@ -155,7 +155,7 @@ def test_run_builds_the_kernel_before_the_first_record(monkeypatch, tmp_path):
         libraries[record.iteration] = len(list(tmp_path.glob("*.so")))
 
     run(RunConfig(n=8, steps=1, policy="sn", repeats=1), record_sink=sink)
-    assert libraries == {0: 1, 1: 1}
+    assert libraries == {0: 2, 1: 2}  # the kernel and the halo exchange
 
 
 def test_missing_compiler_falls_back_with_reason(monkeypatch, tmp_path):
@@ -171,6 +171,8 @@ def test_missing_compiler_falls_back_with_reason(monkeypatch, tmp_path):
     assert doc["kernels"]["sn"]["backend"] == "numpy"
     assert MISSING in doc["fallback_reason"]
     assert doc["compiler"] is None
+    assert doc["exchange"]["backend"] == "numpy"
+    assert MISSING in doc["exchange"]["reason"]
     fallback = run(config).store
     for name in ("rho", "rhou0", "rhou1", "rhou2", "rhoE"):
         assert fallback.interior(name).tobytes() == compiled.interior(name).tobytes()
@@ -185,8 +187,9 @@ def test_provenance_names_compiler_and_library(monkeypatch, tmp_path):
     assert doc["compiler"] == cbackend.compiler_version(cbackend.COMPILER)
     assert "-ffp-contract=off" in doc["flags"]
     assert "-fopenmp-simd" in doc["flags"]
-    (library,) = tmp_path.glob("*.so")
-    assert doc["kernels"]["sn"]["sha256"] == cbackend._sha256_file(library)
+    assert doc["exchange"]["backend"] == "c" and "reason" not in doc["exchange"]
+    libraries = {cbackend._sha256_file(path) for path in tmp_path.glob("*.so")}
+    assert libraries == {doc["kernels"]["sn"]["sha256"], doc["exchange"]["sha256"]}
 
 
 @needs_compiler
@@ -231,6 +234,9 @@ def test_source_uses_exact_literals_and_left_folds(eqset):
     assert source.count("#pragma omp simd") == 66
     assert source.count("#pragma omp simd reduction(+:nonfinite)") == 1
     assert source.count("nonfinite += !__builtin_isfinite(v_res_") == 5
+    # fd_primitive counts the points where density or pressure is not positive
+    assert source.count("#pragma omp simd reduction(+:nonpositive)") == 1
+    assert "nonpositive += !(a_rho[c] > 0.0) | !(v_p > 0.0);" in source
 
 
 def test_plan_the_generator_cannot_express_runs_on_numpy(eqset, tmp_path):

@@ -222,6 +222,68 @@ class TestErrors:
             with pytest.raises(StateError, match="pressure"):
                 exe.execute_plan(plans8["bl"], store)
 
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            (
+                {"rho": ((2, 3, 4), -1.0)},
+                "non-positive density -1.0 at interior point (2, 3, 4)",
+            ),
+            (
+                {"rhoE": ((5, 1, 6), -2.5)},
+                "non-positive pressure -0.9999999999999998 at interior point (5, 1, 6)",
+            ),
+            (
+                {"rhoE": ((0, 7, 2), np.nan)},
+                "non-positive pressure nan at interior point (0, 7, 2)",
+            ),
+            # density is named first, even where pressure fails earlier
+            (
+                {"rho": ((6, 6, 6), -1.0), "rhoE": ((1, 0, 0), np.nan)},
+                "non-positive density -1.0 at interior point (6, 6, 6)",
+            ),
+        ],
+        ids=["density", "pressure", "nan-pressure", "density-first"],
+    )
+    def test_bad_state_is_named_exactly(
+        self, plans8, grid8, params, backends, poison, message
+    ):
+        for backend in backends():
+            store = _uniform_store(grid8, params, u=(0.0, 0.0, 0.0))
+            for name, (point, value) in poison.items():
+                field = np.array(store.interior(name))
+                field[point] = value
+                store.set_interior(name, field)
+            with pytest.raises(StateError) as raised:
+                exe.execute_plan(plans8["sn"], store, workers=2, step=3, stage=2)
+            assert str(raised.value) == message + " (step 3, stage 2)", backend
+
+    def test_healthy_stage_makes_no_positivity_pass(
+        self, plans8, grid8, monkeypatch, backends
+    ):
+        # the primitive phase counts non-positive density and pressure;
+        # the numpy search runs only when that count is not 0
+        calls = []
+        original = exe.check_positive
+
+        def counted(values, quantity, *args):
+            calls.append(quantity)
+            return original(values, quantity, *args)
+
+        monkeypatch.setattr(exe, "check_positive", counted)
+        for backend in backends():
+            calls.clear()
+            for variant in ("bl", "sn"):
+                store = _random_store(grid8, seed=4)
+                exe.execute_plan(plans8[variant], store, workers=2, step=1, stage=1)
+            assert calls == [], backend
+            rho = np.array(store.interior("rho"))
+            rho[1, 2, 3] = 0.0
+            store.set_interior("rho", rho)
+            with pytest.raises(StateError, match=r"density 0\.0 .* \(1, 2, 3\)"):
+                exe.execute_plan(plans8["sn"], store, step=1, stage=1)
+            assert calls == ["density"], backend
+
     def test_overflow_reports_blowup_with_step(self, plans8, grid8, backends):
         for backend in backends():
             store = FieldStore(grid8)

@@ -1,10 +1,12 @@
 """Grid geometry, halo exchange, field store, sums, snapshots."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from fdlab import cbackend
 from fdlab.errors import GridError
 from fdlab.grid import (
     HALO,
@@ -16,6 +18,7 @@ from fdlab.grid import (
     read_snapshot,
     write_snapshot,
 )
+from fdlab.solver import RunConfig, rk3_step, run
 
 
 class TestGrid:
@@ -90,6 +93,57 @@ class TestHaloExchange:
         np.testing.assert_array_equal(
             field[HALO:-HALO, HALO:-HALO, HALO:-HALO], before
         )
+
+    def test_compiled_and_numpy_bytes_equal(self, backends):
+        # halos poisoned with NaN first: every halo value must be a copy
+        poisoned = {}
+        for n in (8, 13, 32, 64):
+            rng = np.random.default_rng(n)
+            field = np.full((n + 2 * HALO,) * 3, np.nan, order="F")
+            field[HALO:-HALO, HALO:-HALO, HALO:-HALO] = rng.standard_normal((n,) * 3)
+            poisoned[n] = field
+        got = {}
+        ran = []
+        for backend in backends():
+            assert cbackend.KERNELS.exchange().backend == backend
+            ran.append(backend)
+            for n, field in poisoned.items():
+                field = field.copy(order="F")
+                assert halo_exchange_periodic(field) is field
+                interior = field[HALO:-HALO, HALO:-HALO, HALO:-HALO]
+                np.testing.assert_array_equal(field, np.pad(interior, HALO, mode="wrap"))
+                got[backend, n] = field.tobytes()
+        for n in poisoned:
+            assert len({got[backend, n] for backend in ran}) == 1, n
+
+    def test_other_layouts_take_the_numpy_loop(self, monkeypatch):
+        calls = []
+        spy = cbackend.Exchange(function=lambda *args: calls.append(args))
+        monkeypatch.setattr(cbackend.KERNELS, "exchange", lambda: spy)
+        halo_exchange_periodic(_indexed_field(8))
+        assert len(calls) == 1  # the spy stands in for fd_exchange
+        rng = np.random.default_rng(5)
+        # a C-order cube and a Fortran-order cuboid
+        for shape, order in (((8, 8, 8), "C"), ((8, 9, 10), "F")):
+            interior = rng.standard_normal(shape)
+            want = np.pad(interior, HALO, mode="wrap")
+            field = np.zeros(want.shape, order=order)
+            field[HALO:-HALO, HALO:-HALO, HALO:-HALO] = interior
+            halo_exchange_periodic(field)
+            np.testing.assert_array_equal(field, want)
+        assert len(calls) == 1
+
+    @pytest.mark.skipif(shutil.which(cbackend.COMPILER) is None, reason="no compiler")
+    def test_rk3_step_neither_builds_nor_loads_a_library(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cbackend, "KERNELS", cbackend.KernelCache(tmp_path))
+        result = run(RunConfig(n=8, steps=1, policy="sn", repeats=1))
+        assert cbackend.KERNELS.exchange().backend == "c"
+        loads = []
+        monkeypatch.setattr(
+            cbackend.KernelCache, "_library", lambda self, source: loads.append(source)
+        )
+        rk3_step(result.store, result.plan, result.dt, step=2)
+        assert loads == []
 
     def test_rejects_unpadded(self):
         with pytest.raises(GridError, match="padded"):

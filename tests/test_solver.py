@@ -96,6 +96,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
 
+    def test_rejects_an_unknown_variant_on_construction(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^unknown variant 'fast'; known variants: bl, rs, ss, ra, sn, sn2$",
+        ):
+            RunConfig(policy="fast", n=8, steps=1)
+
     @pytest.mark.parametrize("n", [7, 8.5])
     def test_rejects_a_size_no_grid_accepts(self, n):
         with pytest.raises(GridError):
