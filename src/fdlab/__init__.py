@@ -25,7 +25,7 @@ from .errors import (
     ReportError,
     StateError,
 )
-from .executor import execute_plan
+from .executor import bind, execute_plan
 from .expr import COMPONENT_NAMES, count_ops, to_prefix
 from .grid import (
     FieldStore,
@@ -83,6 +83,7 @@ __all__ = [
     "StateError",
     "VARIANTS",
     "aggregate",
+    "bind",
     "build_equations",
     "build_plan",
     "census",

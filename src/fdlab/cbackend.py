@@ -396,7 +396,6 @@ class Kernel:
     table: tuple[str, ...] = ()
     functions: tuple | None = None
     update: object = None
-    library: ctypes.CDLL | None = None
     sha256: str | None = None
     reason: str | None = None
 
@@ -439,17 +438,15 @@ class Exchange:
 class KernelCache:
     """Loaded kernels by plan, backed by a directory of libraries.
 
-    A plan carries its grid, so it is the whole key. The first lookup of
-    a plan hashes it and compares it node by node with an equal key (a
-    millisecond or so); the identity check in front of the dictionary
-    makes repeated lookups of the same plan object free.
+    A plan carries its grid, so it is the whole key. A lookup hashes the
+    plan and compares it node by node with an equal key, a millisecond or
+    so, which ``executor.bind`` pays once per run.
     """
 
     def __init__(self, directory: Path | None = None, compiler: str = COMPILER):
         self._directory = Path(directory) if directory else None
         self.compiler = compiler
         self._kernels: dict[KernelPlan, Kernel] = {}
-        self._last: tuple[KernelPlan, Kernel] | None = None
         self._exchange: Exchange | None = None
         self._lock = threading.Lock()
 
@@ -461,15 +458,11 @@ class KernelCache:
         return self._directory
 
     def lookup(self, plan: KernelPlan) -> Kernel:
-        last = self._last
-        if last is not None and last[0] is plan:
-            return last[1]
         with self._lock:
             kernel = self._kernels.get(plan)
             if kernel is None:
                 kernel = self._load(plan)
                 self._kernels[plan] = kernel
-            self._last = (plan, kernel)
         return kernel
 
     def exchange(self) -> Exchange:
@@ -518,7 +511,6 @@ class KernelCache:
         kernel.table = _pointer_table(plan)
         kernel.functions = tuple(functions)
         kernel.update = update
-        kernel.library = library
         kernel.sha256 = _sha256_file(library_path)
         return kernel
 
@@ -598,6 +590,6 @@ def _provenance(loaded: Kernel | Exchange) -> dict:
     return entry
 
 
-#: The process-wide cache that execute_plan looks kernels up in and
+#: The process-wide cache that executor.bind looks kernels up in and
 #: grid.halo_exchange_periodic its exchange.
 KERNELS = KernelCache()

@@ -1,11 +1,12 @@
 """Application of a kernel plan to grid fields.
 
-``execute_plan`` runs the plan's phases in launch order, refreshes the
+``bind`` chooses a run's backend once: the compiled C kernel of
+``cbackend``, or the numpy slab evaluator and update below, which are the
+reference the compiled code must match bit for bit. It returns a
+``BoundPlan`` holding the plan's phases and update bound to one store's
+arrays. ``execute_plan`` runs those phases in launch order, refreshes the
 halos each phase names and names any bad state a phase counted, and
-``update_solution`` applies one RK stage's update, both through the
-callables of ``_bind``, the one place a backend is chosen: the compiled
-C kernel of ``cbackend``, or the numpy slab evaluator and update below,
-which are the reference the compiled code must match bit for bit.
+``update_solution`` applies one RK stage's update.
 
 The numpy evaluator walks each statement's expression tree node by node
 over a slab of interior points, with field references resolved to
@@ -24,7 +25,9 @@ any slab width and any worker count.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,11 +155,11 @@ def _check_residuals(store: FieldStore, step, stage) -> None:
             )
 
 
-def _worker_spans(n: int, workers: int) -> list[tuple[int, int]]:
+def _worker_spans(n: int, workers: int) -> tuple[tuple[int, int], ...]:
     """Contiguous, near-equal k-ranges, one per worker."""
     parts = max(1, min(workers, n))
     bounds = [n * w // parts for w in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return tuple(zip(bounds, bounds[1:]))
 
 
 @functools.cache
@@ -164,16 +167,6 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     """The process's pool of `workers` threads, made on first use and
     reused by every later evaluation and update."""
     return ThreadPoolExecutor(workers)
-
-
-def _launch(function, spans, workers: int) -> list:
-    """Call function(z0, z1) once per span, on the pool when there are
-    several workers and spans, and return the results in span order."""
-    if workers == 1 or len(spans) == 1:
-        return [function(z0, z1) for z0, z1 in spans]
-    futures = [_pool(workers).submit(function, z0, z1) for z0, z1 in spans]
-    wait(futures)  # a failing span never leaves others running on the store
-    return [future.result() for future in futures]
 
 
 def _numpy_phase(phase, arrays, n: int):
@@ -233,15 +226,39 @@ def _numpy_update(arrays, n: int):
     return run
 
 
-def _bind(plan: KernelPlan, store: FieldStore):
-    """The plan's phases, in launch order, and its update, bound to the
-    store's arrays: the compiled kernel's functions through its one
-    pointer table when the kernel built (see ``cbackend``), the numpy
-    reference otherwise. A phase is a callable over planes [k0, k1) that
-    returns how many non-finite values it stored into residual arrays and
-    how many points have an array of its ``positive`` not positive; the
-    update is a callable (a_k, bdt, k0, k1). A store on another grid
-    than the plan's is refused."""
+@dataclass(frozen=True)
+class BoundPlan:
+    """A plan bound to a store for a run. A phase is a callable over
+    planes [k0, k1) that returns how many non-finite values it stored
+    into residual arrays and how many points have an array of its
+    ``positive`` not positive; ``update`` is a callable (a_k, bdt, k0,
+    k1). The compiled callables hold raw pointers into the store's
+    arrays, which the store keeps alive."""
+
+    plan: KernelPlan
+    store: FieldStore
+    phases: tuple
+    update: Callable
+    spans: tuple[tuple[int, int], ...]
+    workers: int
+
+    def launch(self, function) -> list:
+        """Call function(z0, z1) once per span, on the pool when there are
+        several workers and spans, and return the results in span order."""
+        if self.workers == 1 or len(self.spans) == 1:
+            return [function(z0, z1) for z0, z1 in self.spans]
+        pool = _pool(self.workers)
+        futures = [pool.submit(function, z0, z1) for z0, z1 in self.spans]
+        wait(futures)  # a failing span never leaves others running on the store
+        return [future.result() for future in futures]
+
+
+def bind(plan: KernelPlan, store: FieldStore, workers: int = 1) -> BoundPlan:
+    """Bind the plan's phases, in launch order, and its update to the
+    store's arrays, allocating the plan's work arrays: the compiled
+    kernel's functions through its one pointer table when the kernel
+    built (see ``cbackend``), the numpy reference otherwise. A store on
+    another grid than the plan's is refused before anything is touched."""
     if plan.grid != store.grid:
         raise GridError(
             f"plan spacing {plan.grid.h} does not match grid spacing {store.grid.h}"
@@ -251,23 +268,21 @@ def _bind(plan: KernelPlan, store: FieldStore):
     kernel = cbackend.KERNELS.lookup(plan)
     arrays = {name: store.full(name) for name in store.names()}
     if kernel.functions is None:
-        phases = [_numpy_phase(p, arrays, n) for p in plan.phases]
-        return phases, _numpy_update(arrays, n)
-    table = kernel.pointers(arrays)
-    phases = [functools.partial(f, table) for f in kernel.functions]
-    return phases, functools.partial(kernel.update, table)
+        phases = tuple(_numpy_phase(p, arrays, n) for p in plan.phases)
+        update = _numpy_update(arrays, n)
+    else:
+        table = kernel.pointers(arrays)
+        phases = tuple(functools.partial(f, table) for f in kernel.functions)
+        update = functools.partial(kernel.update, table)
+    return BoundPlan(plan, store, phases, update, _worker_spans(n, workers), workers)
 
 
 def execute_plan(
-    plan: KernelPlan,
-    store: FieldStore,
-    workers: int = 1,
-    step: int | None = None,
-    stage: int | None = None,
+    bound: BoundPlan, step: int | None = None, stage: int | None = None
 ) -> dict[str, np.ndarray]:
-    """Run the plan's phases in order and return the residual fields.
+    """Run the bound plan's phases in order and return the residual fields.
 
-    Each phase is split into k-ranges across `workers` threads of one
+    Each phase is split into k-ranges across the bound workers, on one
     pool that every call reuses.
 
     This is the only code that refreshes halos, and it trusts none it
@@ -282,13 +297,11 @@ def execute_plan(
     grid outside the phases. `step` and `stage` only label the messages
     of those errors.
     """
-    functions, _ = _bind(plan, store)
+    store = bound.store
     for name in COMPONENT_NAMES:
         store.exchange(name)
-
-    spans = _worker_spans(store.grid.n, workers)
-    for phase, function in zip(plan.phases, functions):
-        if sum(_launch(function, spans, workers)):
+    for phase, function in zip(bound.plan.phases, bound.phases):
+        if sum(bound.launch(function)):
             for name, quantity in phase.positive:
                 check_positive(store.interior(name), quantity, step, stage)
             if any(s.kind == "residual" for s in phase.statements):
@@ -298,12 +311,8 @@ def execute_plan(
     return {component: store.residual(component) for component in COMPONENT_NAMES}
 
 
-def update_solution(
-    plan: KernelPlan, store: FieldStore, a_k: float, bdt: float, workers: int = 1
-) -> None:
+def update_solution(bound: BoundPlan, a_k: float, bdt: float) -> None:
     """One RK stage's update of the interiors, on the k-ranges and the
     pool of the phases: ``acc = a_k*acc + res`` (a copy when `a_k` is 0),
     then ``sol = sol + bdt*acc``, with the store's ``acc_*`` arrays."""
-    _, update = _bind(plan, store)
-    n = store.grid.n
-    _launch(functools.partial(update, a_k, bdt), _worker_spans(n, workers), workers)
+    bound.launch(functools.partial(bound.update, a_k, bdt))

@@ -89,7 +89,7 @@ class CounterFileSource(PowerSource):
             raise PowerError(f"counter wrap max must be positive, got {counter_max}")
         self._paths = tuple(paths)
         self._max = counter_max
-        self._last: list[int | None] = [None] * len(self._paths)
+        self._previous: list[int | None] = [None] * len(self._paths)
         self._total_uj = 0
 
     def _read_raw(self, path) -> int:
@@ -102,10 +102,10 @@ class CounterFileSource(PowerSource):
     def read(self) -> PowerSample:
         for index, path in enumerate(self._paths):
             raw = self._read_raw(path)
-            last = self._last[index]
-            if last is not None:
-                self._total_uj += (raw - last + self._max) % self._max
-            self._last[index] = raw
+            previous = self._previous[index]
+            if previous is not None:
+                self._total_uj += (raw - previous + self._max) % self._max
+            self._previous[index] = raw
         return PowerSample(
             t=time.perf_counter(),
             cumulative_energy=self._total_uj * MICROJOULE,

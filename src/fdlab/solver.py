@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cbackend
 from .equations import FlowParams, build_equations
-from .executor import check_positive, execute_plan, update_solution
+from .executor import BoundPlan, bind, check_positive, execute_plan, update_solution
 from .expr import COMPONENT_NAMES
 from .grid import FieldStore, Grid, write_snapshot
 from .plan import VARIANTS, KernelPlan, build_plan
@@ -133,26 +133,19 @@ def _check_thermo(store: FieldStore, step) -> None:
     check_positive(internal, "internal energy", step)
 
 
-def rk3_step(
-    store: FieldStore,
-    plan: KernelPlan,
-    dt: float,
-    workers: int = 1,
-    step: int | None = None,
-) -> FieldStore:
-    """Advance the solution by one timestep in place.
+def rk3_step(bound: BoundPlan, dt: float, step: int | None = None) -> None:
+    """Advance the bound store's solution by one timestep in place.
 
     Each stage evaluates the residuals into the store and then updates
     the interiors from them and the store's accumulators, on the backend
-    the plan runs on; the next ``execute_plan`` refreshes the solution's
-    halos and tests the state each stage leaves.
+    the plan was bound to; the next ``execute_plan`` refreshes the
+    solution's halos and tests the state each stage leaves.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     for stage, (a_k, b_k) in enumerate(zip(RK_A, RK_B), start=1):
-        execute_plan(plan, store, workers=workers, step=step, stage=stage)
-        update_solution(plan, store, a_k, b_k * dt, workers=workers)
-    return store
+        execute_plan(bound, step=step, stage=stage)
+        update_solution(bound, a_k, b_k * dt)
 
 
 @dataclass
@@ -171,11 +164,12 @@ def run(
 ) -> RunResult:
     """Initialize, advance `steps` timesteps, and monitor each boundary.
 
-    The plan's kernel and the halo exchange are built or loaded before
-    the first sample. The monitor samples once before the loop and once
-    at the end of every iteration. Each record goes to `record_sink` as
-    soon as it exists, so a failing run still leaves the completed
-    iterations on disk when the sink writes through.
+    The plan is bound to the store once, and its kernel and the halo
+    exchange are built or loaded, before the first sample. The monitor
+    samples once before the loop and once at the end of every iteration.
+    Each record goes to `record_sink` as soon as it exists, so a failing
+    run still leaves the completed iterations on disk when the sink
+    writes through.
 
     Each state is tested once, by the evaluation that reads it, so a bad
     state made by the last stage of step s is reported as step s+1,
@@ -189,10 +183,9 @@ def run(
     dt = config.dt if config.dt is not None else compute_timestep(
         store, config.params, config.cfl
     )
-    # Build or load the kernel and the halo exchange now, so a cold
-    # compile lands in set-up and never in a timed step; the lookups of
-    # execute_plan and halo_exchange_periodic then hit.
-    cbackend.KERNELS.lookup(plan)
+    # Bind the run and load the halo exchange now, so a cold compile
+    # lands in set-up and never in a timed step.
+    bound = bind(plan, store, config.workers)
     cbackend.KERNELS.exchange()
     if source is None:
         source = NullSource()
@@ -217,7 +210,7 @@ def run(
     wall_start = time.perf_counter()
     take(0)
     for step in range(1, config.steps + 1):
-        rk3_step(store, plan, dt, workers=config.workers, step=step)
+        rk3_step(bound, dt, step=step)
         take(step)
         if (
             config.snapshot_every

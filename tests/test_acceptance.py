@@ -16,7 +16,7 @@ import pytest
 from fdlab import solver
 from fdlab.bench import compute_ratios
 from fdlab.equations import FlowParams, build_equations
-from fdlab.executor import execute_plan
+from fdlab.executor import bind, execute_plan
 from fdlab.expr import COMPONENT_NAMES
 from fdlab.grid import (
     FieldStore,
@@ -112,8 +112,9 @@ def test_criterion_04_cross_variant_equivalence(eqs, plans32, capsys):
     solutions = {}
     for variant in VARIANTS:
         store = init_tgv(grid, PARAMS)
+        bound = bind(plans32[variant], store)
         for step in range(1, 51):
-            rk3_step(store, plans32[variant], dt, step=step)
+            rk3_step(bound, dt, step=step)
         solutions[variant] = {
             name: store.interior(name).copy() for name in COMPONENT_NAMES
         }
@@ -153,7 +154,7 @@ def test_criterion_05_conservation(eqs, plans32, capsys):
                 f"rhou{i}", 0.3 * rng.standard_normal(grid16.shape)
             )
         store.set_interior("rhoE", 2.5 + 0.3 * rng.random(grid16.shape))
-        residuals = execute_plan(plan16, store)
+        residuals = execute_plan(bind(plan16, store))
         for name in conserved:
             total = abs(grid_sum(residuals[name]))
             scale = grid_sum(np.abs(residuals[name]))
@@ -165,7 +166,7 @@ def test_criterion_05_conservation(eqs, plans32, capsys):
     # residual grid sums on the vortex state
     grid32 = Grid(32)
     store = init_tgv(grid32, PARAMS)
-    residuals = execute_plan(plans32["bl"], store)
+    residuals = execute_plan(bind(plans32["bl"], store))
     for name in conserved:
         total = abs(grid_sum(residuals[name]))
         scale = grid_sum(np.abs(residuals[name]))
@@ -178,8 +179,9 @@ def test_criterion_05_conservation(eqs, plans32, capsys):
     store = init_tgv(grid32, PARAMS)
     dt = compute_timestep(store, PARAMS, 0.4)
     initial = {name: grid_sum(store.interior(name)) for name in conserved}
+    bound = bind(plans32["bl"], store)
     for step in range(1, 101):
-        rk3_step(store, plans32["bl"], dt, step=step)
+        rk3_step(bound, dt, step=step)
     mass_scale = abs(initial["rho"])
     worst_drift = 0.0
     for name in conserved:
@@ -415,10 +417,10 @@ def test_criterion_11_determinism(eqs, capsys):
 
     residual_sets = []
     for _ in range(2):
-        store = init_tgv(grid, PARAMS)
+        bound = bind(plan_a, init_tgv(grid, PARAMS), workers=2)
         for step in range(1, 4):
-            rk3_step(store, plan_a, 0.005, workers=2, step=step)
-        residuals = execute_plan(plan_a, store, workers=2)
+            rk3_step(bound, 0.005, step=step)
+        residuals = execute_plan(bound)
         residual_sets.append(
             tuple(residuals[name].tobytes() for name in COMPONENT_NAMES)
         )
@@ -438,15 +440,15 @@ def test_criterion_12_informational_large_grid_speedup(eqs, capsys):
         timings = {}
         for variant in ("bl", "ra", "sn", "sn2"):
             plan = build_plan(eqs, variant, grid)
-            store = init_tgv(grid, PARAMS)
-            execute_plan(plan, store)  # warm
+            bound = bind(plan, init_tgv(grid, PARAMS))
+            execute_plan(bound)  # warm
             best = math.inf
             for _ in range(2):
                 started = time.perf_counter()
-                execute_plan(plan, store)
+                execute_plan(bound)
                 best = min(best, time.perf_counter() - started)
             timings[variant] = best
-            del store
+            del bound
         speedups = {
             v: timings["bl"] / timings[v] for v in ("ra", "sn", "sn2")
         }

@@ -46,10 +46,10 @@ def _result_bytes(plan, grid, workers):
     """Residual bytes of one evaluation, then solution bytes after one
     full RK3 step, both from the same random state."""
     store = _random_store(grid, seed=17)
-    residuals = exe.execute_plan(plan, store, workers=workers)
+    residuals = exe.execute_plan(exe.bind(plan, store, workers))
     got = {f"res_{c}": residuals[c].tobytes() for c in ex.COMPONENT_NAMES}
     store = _random_store(grid, seed=17)
-    rk3_step(store, plan, dt=1e-4, workers=workers, step=1)
+    rk3_step(exe.bind(plan, store, workers), dt=1e-4, step=1)
     got.update({c: store.interior(c).tobytes() for c in ex.COMPONENT_NAMES})
     return got
 
@@ -119,9 +119,9 @@ def test_one_pool_serves_every_launch(eqset, monkeypatch):
     try:
         grid = Grid(8)
         plan = build_plan(eqset, "bl", grid)  # 65 phases and fd_update
-        store = _random_store(grid, seed=3)
+        bound = exe.bind(plan, _random_store(grid, seed=3), workers=2)
         for step in (1, 2):
-            rk3_step(store, plan, dt=1e-4, workers=2, step=step)
+            rk3_step(bound, dt=1e-4, step=step)
     finally:
         exe._pool.cache_clear()
     assert made == [2]

@@ -77,7 +77,7 @@ class TestUniformState:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_residuals_vanish(self, plans8, grid8, params, variant):
         store = _uniform_store(grid8, params)
-        residuals = exe.execute_plan(plans8[variant], store)
+        residuals = exe.execute_plan(exe.bind(plans8[variant], store))
         for component, field in residuals.items():
             assert float(np.abs(field).max()) <= 1e-13, component
 
@@ -86,7 +86,7 @@ class TestPointwiseOracle:
     @pytest.mark.parametrize("variant", ["bl", "ra"])
     def test_matches_scalar_evaluation(self, plans8, grid8, eqset, variant):
         store = _random_store(grid8, seed=5)
-        exe.execute_plan(plans8[variant], store)
+        exe.execute_plan(exe.bind(plans8[variant], store))
         for component, residual in zip(ex.COMPONENT_NAMES, eqset.residuals):
             lowered = st.discretize(residual, grid8.h)
             for point in [(0, 0, 0), (3, 6, 1), (7, 7, 7)]:
@@ -100,11 +100,11 @@ class TestCrossVariant:
         store = _random_store(grid8, seed=9)
         base = {
             c: np.array(v)
-            for c, v in exe.execute_plan(plans8["bl"], store).items()
+            for c, v in exe.execute_plan(exe.bind(plans8["bl"], store)).items()
         }
         scale = max(float(np.abs(v).max()) for v in base.values())
         for variant in list(VARIANTS)[1:]:
-            got = exe.execute_plan(plans8[variant], store)
+            got = exe.execute_plan(exe.bind(plans8[variant], store))
             worst = max(
                 float(np.abs(got[c] - base[c]).max()) for c in ex.COMPONENT_NAMES
             )
@@ -115,7 +115,7 @@ class TestConservation:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mass_and_momentum_sums_vanish(self, plans8, grid8, eqset, seed):
         store = _random_store(grid8, seed=seed)
-        residuals = exe.execute_plan(plans8["bl"], store)
+        residuals = exe.execute_plan(exe.bind(plans8["bl"], store))
         for component, residual in list(zip(ex.COMPONENT_NAMES, eqset.residuals))[:4]:
             scale = 0.0
             for piece in split_terms(residual):
@@ -130,7 +130,7 @@ class TestDeterminism:
         first = {}
         for attempt in range(2):
             store = _random_store(grid8, seed=21)
-            residuals = exe.execute_plan(plans8["sn"], store)
+            residuals = exe.execute_plan(exe.bind(plans8["sn"], store))
             blob = b"".join(
                 residuals[c].tobytes() for c in ex.COMPONENT_NAMES
             )
@@ -145,7 +145,7 @@ class TestDeterminism:
         store = _random_store(grid8, seed=33)
         base = {
             c: np.array(v)
-            for c, v in exe.execute_plan(plans8["bl"], store).items()
+            for c, v in exe.execute_plan(exe.bind(plans8["bl"], store)).items()
         }
         # shrink numpy slabs to 2 planes; the k-ranges of 3 workers then
         # hold 2, 3 and 3 planes, so they split into slabs unevenly
@@ -156,7 +156,7 @@ class TestDeterminism:
             kernel = cbackend.KERNELS.lookup(plans8["bl"])
             assert kernel.backend == backend, kernel.reason
             for workers in (1, 3):
-                got = exe.execute_plan(plans8["bl"], store, workers=workers)
+                got = exe.execute_plan(exe.bind(plans8["bl"], store, workers=workers))
                 for c in ex.COMPONENT_NAMES:
                     assert got[c].tobytes() == base[c].tobytes(), (backend, workers, c)
 
@@ -167,16 +167,17 @@ class TestHalos:
         # execute_plan must trust no halo it finds, even after an earlier
         # call on the same store left them all current
         plan = plans8[variant]
-        fresh = exe.execute_plan(plan, _random_store(grid8, seed=13))
+        fresh = exe.execute_plan(exe.bind(plan, _random_store(grid8, seed=13)))
         want = {c: fresh[c].tobytes() for c in ex.COMPONENT_NAMES}
         for backend in backends():
             store = _random_store(grid8, seed=13)
-            exe.execute_plan(plan, store)
+            bound = exe.bind(plan, store)
+            exe.execute_plan(bound)
             for name in store.names():
                 interior = store.interior(name).copy()
                 store.full(name)[...] = np.nan
                 store.interior(name)[...] = interior
-            got = exe.execute_plan(plan, store)
+            got = exe.execute_plan(bound)
             for c in ex.COMPONENT_NAMES:
                 assert got[c].tobytes() == want[c], (backend, c)
 
@@ -185,21 +186,21 @@ class TestAllocation:
     def test_baseline_allocates_all_work_arrays(self, plans8, grid8, params):
         store = _uniform_store(grid8, params)
         before = len(store.names())
-        exe.execute_plan(plans8["bl"], store)
+        exe.execute_plan(exe.bind(plans8["bl"], store))
         assert len(store.names()) == before + 63
 
     def test_inline_variants_allocate_none(self, plans8, grid8, params):
         for variant in ("ra", "sn", "sn2"):
             store = _uniform_store(grid8, params)
             before = len(store.names())
-            exe.execute_plan(plans8[variant], store)
+            exe.execute_plan(exe.bind(plans8[variant], store))
             assert len(store.names()) == before
 
     def test_gradient_variants_allocate_nine(self, plans8, grid8, params):
         for variant in ("rs", "ss"):
             store = _uniform_store(grid8, params)
             before = len(store.names())
-            exe.execute_plan(plans8[variant], store)
+            exe.execute_plan(exe.bind(plans8[variant], store))
             assert len(store.names()) == before + 9
 
 
@@ -213,14 +214,14 @@ class TestErrors:
             values[2, 3, 4] = -1.0
             store.set_interior("rho", values)
             with pytest.raises(StateError, match=r"density.*\(2, 3, 4\)"):
-                exe.execute_plan(plans8["bl"], store)
+                exe.execute_plan(exe.bind(plans8["bl"], store))
 
     def test_negative_pressure(self, plans8, grid8, params, backends):
         for backend in backends():
             store = _uniform_store(grid8, params)
             store.set_interior("rhoE", 1e-6)
             with pytest.raises(StateError, match="pressure"):
-                exe.execute_plan(plans8["bl"], store)
+                exe.execute_plan(exe.bind(plans8["bl"], store))
 
     @pytest.mark.parametrize(
         "poison, message",
@@ -255,7 +256,8 @@ class TestErrors:
                 field[point] = value
                 store.set_interior(name, field)
             with pytest.raises(StateError) as raised:
-                exe.execute_plan(plans8["sn"], store, workers=2, step=3, stage=2)
+                bound = exe.bind(plans8["sn"], store, workers=2)
+                exe.execute_plan(bound, step=3, stage=2)
             assert str(raised.value) == message + " (step 3, stage 2)", backend
 
     def test_healthy_stage_makes_no_positivity_pass(
@@ -275,13 +277,14 @@ class TestErrors:
             calls.clear()
             for variant in ("bl", "sn"):
                 store = _random_store(grid8, seed=4)
-                exe.execute_plan(plans8[variant], store, workers=2, step=1, stage=1)
+                bound = exe.bind(plans8[variant], store, workers=2)
+                exe.execute_plan(bound, step=1, stage=1)
             assert calls == [], backend
             rho = np.array(store.interior("rho"))
             rho[1, 2, 3] = 0.0
             store.set_interior("rho", rho)
             with pytest.raises(StateError, match=r"density 0\.0 .* \(1, 2, 3\)"):
-                exe.execute_plan(plans8["sn"], store, step=1, stage=1)
+                exe.execute_plan(exe.bind(plans8["sn"], store), step=1, stage=1)
             assert calls == ["density"], backend
 
     def test_overflow_reports_blowup_with_step(self, plans8, grid8, backends):
@@ -291,7 +294,7 @@ class TestErrors:
             store.set_interior("rhou0", 1e150)
             store.set_interior("rhoE", 1e301)
             with pytest.raises(NumericalBlowupError, match=r"step 7"):
-                exe.execute_plan(plans8["bl"], store, step=7)
+                exe.execute_plan(exe.bind(plans8["bl"], store), step=7)
 
     def test_residuals_are_searched_only_when_a_phase_counts_one(
         self, plans8, grid8, monkeypatch, backends
@@ -308,7 +311,8 @@ class TestErrors:
         monkeypatch.setattr(exe, "_check_residuals", counted)
         for backend in backends():
             calls.clear()
-            exe.execute_plan(plans8["sn"], _random_store(grid8, seed=4), workers=2)
+            store = _random_store(grid8, seed=4)
+            exe.execute_plan(exe.bind(plans8["sn"], store, workers=2))
             assert calls == [], backend
             # an energy flux of 1e301 * 1e150 overflows near (3, 4, 5)
             store = _random_store(grid8, seed=4)
@@ -317,36 +321,28 @@ class TestErrors:
                 field[3, 4, 5] = value
                 store.set_interior(name, field)
             with pytest.raises(NumericalBlowupError) as raised:
-                exe.execute_plan(plans8["sn"], store, workers=2, step=1, stage=2)
+                bound = exe.bind(plans8["sn"], store, workers=2)
+                exe.execute_plan(bound, step=1, stage=2)
             assert str(raised.value) == (
                 "non-finite residual for rhoE at interior point (1, 4, 5)"
                 " (step 1, stage 2)"
             ), backend
             assert len(calls) == 1, backend
 
-    def test_spacing_mismatch(self, eqset, grid8, backends):
-        other = pl.build_plan(eqset, "bl", Grid(16))
+    @pytest.mark.parametrize("plan_n, store_n", [(16, 8), (8, 16)])
+    def test_bind_refuses_store_on_another_grid(
+        self, eqset, backends, plan_n, store_n
+    ):
+        # refused before the store is touched: no work array is made and
+        # no byte changes
+        plan = pl.build_plan(eqset, "bl", Grid(plan_n))
         for backend in backends():
-            store = FieldStore(grid8)
-            store.set_interior("rho", 1.0)
-            store.set_interior("rhoE", 2.0)
+            store = _random_store(Grid(store_n), seed=5)
+            before = {name: store.full(name).tobytes() for name in store.names()}
             with pytest.raises(GridError, match="spacing"):
-                exe.execute_plan(other, store)
-
-    def test_store_grid_mismatch(self, plans8, backends):
-        for backend in backends():
-            store = FieldStore(Grid(16))
-            with pytest.raises(GridError, match="spacing"):
-                exe.execute_plan(plans8["bl"], store)
-
-    def test_update_refuses_store_on_another_grid(self, eqset, grid8, backends):
-        other = pl.build_plan(eqset, "sn", Grid(16))
-        for backend in backends():
-            store = _random_store(grid8, seed=5)
-            before = np.array(store.interior("rho"))
-            with pytest.raises(GridError, match="spacing"):
-                exe.update_solution(other, store, 0.0, 1e-3)
-            assert store.interior("rho").tobytes() == before.tobytes(), backend
+                exe.bind(plan, store)
+            after = {name: store.full(name).tobytes() for name in store.names()}
+            assert after == before, backend
 
 
 class TestEvaluateExpression:

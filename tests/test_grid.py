@@ -8,6 +8,7 @@ import pytest
 
 from fdlab import cbackend
 from fdlab.errors import GridError
+from fdlab.executor import bind
 from fdlab.grid import (
     HALO,
     FieldStore,
@@ -142,7 +143,7 @@ class TestHaloExchange:
         monkeypatch.setattr(
             cbackend.KernelCache, "_library", lambda self, source: loads.append(source)
         )
-        rk3_step(result.store, result.plan, result.dt, step=2)
+        rk3_step(bind(result.plan, result.store), result.dt, step=2)
         assert loads == []
 
     def test_rejects_unpadded(self):

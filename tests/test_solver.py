@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from fdlab import cbackend
 from fdlab import grid as grid_module
 from fdlab import solver as sv
 from fdlab.equations import FlowParams, build_equations
@@ -15,6 +16,7 @@ from fdlab.errors import GridError, NumericalBlowupError, StateError
 from fdlab.grid import FieldStore, Grid, grid_sum, integral_diagnostics, read_snapshot
 from fdlab.plan import VARIANTS, build_plan
 from fdlab.power import MockSource
+from fdlab.executor import bind
 from fdlab.solver import (
     RunConfig,
     compute_timestep,
@@ -163,7 +165,8 @@ class TestRK3Step:
         grid = Grid(8)
         plan = build_plan(eqs, "bl", grid)
 
-        def zero_residuals(plan, store, workers=1, step=None, stage=None):
+        def zero_residuals(bound, step=None, stage=None):
+            store = bound.store
             for name in COMPONENT_NAMES:
                 store.residual(name)[...] = 0.0
             return {name: store.residual(name) for name in COMPONENT_NAMES}
@@ -174,7 +177,7 @@ class TestRK3Step:
             for name in COMPONENT_NAMES:
                 store.residual(name)[...] = 1.0
             before = _solution_bytes(store)
-            rk3_step(store, plan, dt=0.01, workers=2)
+            rk3_step(bind(plan, store, workers=2), dt=0.01)
             assert _solution_bytes(store) == before, backend
 
     def test_uniform_state_barely_drifts(self, eqs):
@@ -186,8 +189,9 @@ class TestRK3Step:
         reference = {
             name: store.interior(name).copy() for name in COMPONENT_NAMES
         }
+        bound = bind(plan, store)
         for step in range(1, 4):
-            rk3_step(store, plan, dt=1e-3, step=step)
+            rk3_step(bound, dt=1e-3, step=step)
         for name, initial in reference.items():
             scale = max(np.abs(initial).max(), 1.0)
             drift = np.abs(store.interior(name) - initial).max()
@@ -198,7 +202,7 @@ class TestRK3Step:
         grid = Grid(8)
         plan = build_plan(eqs, "bl", grid)
         with pytest.raises(ValueError, match="dt"):
-            rk3_step(_uniform_store(grid), plan, dt=dt)
+            rk3_step(bind(plan, _uniform_store(grid)), dt=dt)
 
     def test_deterministic_across_reruns(self, eqs):
         grid = Grid(16)
@@ -207,8 +211,9 @@ class TestRK3Step:
         outcomes = []
         for _ in range(2):
             store = init_tgv(grid, PARAMS)
+            bound = bind(plan, store)
             for step in range(1, 6):
-                rk3_step(store, plan, dt=dt, step=step)
+                rk3_step(bound, dt=dt, step=step)
             outcomes.append(_solution_bytes(store))
         assert outcomes[0] == outcomes[1]
 
@@ -221,8 +226,9 @@ class TestRK3Step:
             name: grid_sum(store.interior(name))
             for name in ("rho", "rhou0", "rhou1", "rhou2")
         }
+        bound = bind(plan, store)
         for step in range(1, 21):
-            rk3_step(store, plan, dt=dt, step=step)
+            rk3_step(bound, dt=dt, step=step)
         mass_scale = abs(initial["rho"])
         for name, start in initial.items():
             drift = abs(grid_sum(store.interior(name)) - start)
@@ -246,7 +252,7 @@ class TestRK3Step:
         for backend in backends():
             store = init_tgv(grid, PARAMS)
             calls.clear()
-            rk3_step(store, plan, dt=1e-3, step=1)
+            rk3_step(bind(plan, store), dt=1e-3, step=1)
             assert len(calls) == expected, backend
 
     def test_variants_agree_after_steps(self, eqs):
@@ -255,9 +261,9 @@ class TestRK3Step:
         stores = {}
         for variant in VARIANTS:
             store = init_tgv(grid, PARAMS)
-            plan = build_plan(eqs, variant, grid)
+            bound = bind(build_plan(eqs, variant, grid), store)
             for step in range(1, 4):
-                rk3_step(store, plan, dt=dt, step=step)
+                rk3_step(bound, dt=dt, step=step)
             stores[variant] = store
         baseline = stores["bl"]
         scale = max(
@@ -320,13 +326,13 @@ class TestRun:
         calls = []
         original = sv.execute_plan
 
-        def poisoning(plan, store, *args, **kwargs):
+        def poisoning(bound, **kwargs):
             calls.append(kwargs)
             if len(calls) == 2:
-                rho = np.array(store.interior("rho"))
+                rho = np.array(bound.store.interior("rho"))
                 rho[3, 4, 5] = -1.0
-                store.set_interior("rho", rho)
-            return original(plan, store, *args, **kwargs)
+                bound.store.set_interior("rho", rho)
+            return original(bound, **kwargs)
 
         monkeypatch.setattr(sv, "execute_plan", poisoning)
         with pytest.raises(
@@ -339,19 +345,59 @@ class TestRun:
     def test_final_state_is_tested_once_after_the_loop(self, monkeypatch):
         original = sv.rk3_step
 
-        def poisoning(store, plan, dt, **kwargs):
-            original(store, plan, dt, **kwargs)
+        def poisoning(bound, dt, **kwargs):
+            original(bound, dt, **kwargs)
             if kwargs["step"] == 2:
-                rho = np.array(store.interior("rho"))
+                rho = np.array(bound.store.interior("rho"))
                 rho[3, 4, 5] = -1.0
-                store.set_interior("rho", rho)
-            return store
+                bound.store.set_interior("rho", rho)
 
         monkeypatch.setattr(sv, "rk3_step", poisoning)
         sink = []
         with pytest.raises(StateError, match=r"density .* \(3, 4, 5\) \(step 2\)"):
             run(RunConfig(n=16, steps=2, policy="sn"), record_sink=sink.append)
         assert [r.iteration for r in sink] == [0, 1, 2]
+
+    def test_run_binds_its_plan_once(self, monkeypatch):
+        # one kernel lookup and at most one pointer table per run, not one
+        # per evaluation and update
+        lookups, tables = [], []
+        lookup = cbackend.KernelCache.lookup
+        pointers = cbackend.Kernel.pointers
+
+        def counted_lookup(self, plan):
+            lookups.append(plan)
+            return lookup(self, plan)
+
+        def counted_pointers(self, arrays):
+            tables.append(arrays)
+            return pointers(self, arrays)
+
+        monkeypatch.setattr(cbackend.KernelCache, "lookup", counted_lookup)
+        monkeypatch.setattr(cbackend.Kernel, "pointers", counted_pointers)
+        run(RunConfig(n=8, steps=3, policy="bl"))
+        assert len(lookups) == 1
+        assert len(tables) <= 1
+
+    def test_each_step_evaluates_through_the_module_global(self, monkeypatch):
+        # perfbench's tracer wraps solver.rk3_step and solver.execute_plan
+        # and reads each evaluation's span under its step's span
+        steps = []
+        rk3_step_ = sv.rk3_step
+        execute_plan_ = sv.execute_plan
+
+        def stepping(*args, **kwargs):
+            steps.append(0)
+            return rk3_step_(*args, **kwargs)
+
+        def evaluating(*args, **kwargs):
+            steps[-1] += 1
+            return execute_plan_(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "rk3_step", stepping)
+        monkeypatch.setattr(sv, "execute_plan", evaluating)
+        run(RunConfig(n=8, steps=2, policy="sn"))
+        assert steps == [3, 3]
 
     def test_snapshots_written_at_interval(self, tmp_path):
         config = RunConfig(
@@ -403,14 +449,14 @@ class TestRun:
         calls = []
         original = sv.execute_plan
 
-        def poisoning(plan, store, *args, **kwargs):
+        def poisoning(bound, **kwargs):
             calls.append(kwargs["stage"])
             if len(calls) == 2:
                 for name, value in (("rhou0", 1e150), ("rhoE", 1e301)):
-                    field = np.array(store.interior(name))
+                    field = np.array(bound.store.interior(name))
                     field[3, 4, 5] = value
-                    store.set_interior(name, field)
-            return original(plan, store, *args, **kwargs)
+                    bound.store.set_interior(name, field)
+            return original(bound, **kwargs)
 
         monkeypatch.setattr(sv, "execute_plan", poisoning)
         messages = {}
@@ -438,8 +484,9 @@ class TestKineticEnergyDecay:
         plan = build_plan(build_equations(PARAMS), "bl", grid)
         dt = compute_timestep(store, PARAMS, 0.4)
         energies = [integral_diagnostics(store)["kinetic_energy"]]
+        bound = bind(plan, store)
         for step in range(1, 101):
-            rk3_step(store, plan, dt=dt, step=step)
+            rk3_step(bound, dt=dt, step=step)
             energies.append(integral_diagnostics(store)["kinetic_energy"])
         slack = 1e-12 * energies[0]
         drops = [b <= a + slack for a, b in zip(energies, energies[1:])]
