@@ -329,20 +329,29 @@ class TestErrors:
             ), backend
             assert len(calls) == 1, backend
 
-    @pytest.mark.parametrize("plan_n, store_n", [(16, 8), (8, 16)])
-    def test_bind_refuses_store_on_another_grid(
-        self, eqset, backends, plan_n, store_n
-    ):
+    def _assert_bind_refused(self, plan, store_grid, backends):
         # refused before the store is touched: no work array is made and
         # no byte changes
-        plan = pl.build_plan(eqset, "bl", Grid(plan_n))
         for backend in backends():
-            store = _random_store(Grid(store_n), seed=5)
+            store = _random_store(store_grid, seed=5)
             before = {name: store.full(name).tobytes() for name in store.names()}
             with pytest.raises(GridError, match="spacing"):
                 exe.bind(plan, store)
             after = {name: store.full(name).tobytes() for name in store.names()}
             assert after == before, backend
+
+    def test_spacing_mismatch(self, eqset, grid8, backends):
+        plan = pl.build_plan(eqset, "bl", Grid(16))
+        self._assert_bind_refused(plan, grid8, backends)
+
+    def test_store_grid_mismatch(self, plans8, backends):
+        self._assert_bind_refused(plans8["bl"], Grid(16), backends)
+
+    def test_update_refuses_store_on_another_grid(self, eqset, grid8, backends):
+        # update_solution takes only a BoundPlan, so refusing the bind is
+        # what keeps an update off a store on another grid
+        plan = pl.build_plan(eqset, "sn", Grid(16))
+        self._assert_bind_refused(plan, grid8, backends)
 
 
 class TestEvaluateExpression:
