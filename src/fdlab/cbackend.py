@@ -14,8 +14,7 @@ Compiled without ``-ffast-math`` and with ``-ffp-contract=off`` (gcc
 contracts ``a*b + c`` into a fused multiply-add by default, which rounds
 once instead of twice), the residuals are bit-identical to numpy's.
 
-The innermost (i) loop carries ``#pragma omp simd``, which
-``-fopenmp-simd`` enables without libgomp or threads, so gcc vectorises
+The innermost (i) loop carries ``#pragma omp simd``, so gcc vectorises
 it. The pragma asserts that iterations are independent, and they are:
 every array has one ``restrict`` pointer and ``_Emitter.array`` refuses a
 phase that reads its own target before writing it or at an offset, so
@@ -26,20 +25,25 @@ same order, so the bits do not change; a scalar epilogue runs the points
 left over when n is not a multiple of the vector width.
 
 Every phase function takes the array of base pointers of the padded
-Fortran-order fields plus a range ``[k0, k1)`` of interior planes along
-axis 2, so the caller can split any phase across threads. It returns how
-many non-finite values it stored into residual arrays, tested on the
-value still in its register, and how many points have an array of
-``phase.positive`` not positive (in ``fd_primitive``, ρ or p). A plan
-carries the grid its stencil weights were scaled for, and the generator
-reads n from it, so the grid size stays a compile-time constant of the
-kernel.
+Fortran-order fields, a range ``[k0, k1)`` of interior planes along axis
+2 and a thread count. Its loop nest is a static range body,
+``{name}_range``; the exported function calls it directly when
+``threads <= 1`` and otherwise from each thread of an OpenMP team of
+that size (``num_threads`` overrides ``OMP_NUM_THREADS``), each on a
+contiguous share of the planes. Every point is computed the same way
+whichever thread owns it, so the bits do not depend on the thread count.
+A phase function returns how many non-finite values it stored into
+residual arrays, tested on the value still in its register, and how
+many points have an array of ``phase.positive`` not positive (in
+``fd_primitive``, ρ or p), summed over the team. A plan carries the grid
+its stencil weights were scaled for, and the generator reads n from it,
+so the grid size stays a compile-time constant of the kernel.
 
-The translation unit ends with ``fd_update``, one RK stage's update over
-the same k-ranges: ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
-``sol = sol + (bdt*acc)``, the numpy reference's operations in its
-order. All functions index one pointer table: the plan's arrays, then the
-accumulators.
+The translation unit ends with ``fd_update``, one RK stage's update,
+threaded the same way: ``acc = (acc*a_k) + res`` (a copy when a_k is
+0), then ``sol = sol + (bdt*acc)``, the numpy reference's operations in
+its order. All functions index one pointer table: the plan's arrays,
+then the accumulators.
 
 The halo exchange is compiled too, from the fixed translation unit
 ``EXCHANGE_SOURCE``: ``fd_exchange(f, n)`` makes numpy's per-axis copies
@@ -50,9 +54,9 @@ size, and ``KernelCache.exchange`` builds and loads it like a kernel.
 Built libraries are cached on disk under a per-user directory in the
 system temp dir, keyed by the sha256 of the generated source plus the
 compiler's version line and the flags, and loaded kernels are memoised in
-process by plan. When the compiler is missing or fails, lookup returns a
-kernel without functions and the reason why; the executor then runs the
-numpy reference evaluator.
+process by plan. When the compiler is missing or fails (a missing
+libgomp fails the link), lookup returns a kernel without functions and
+the reason why; the executor then runs the numpy reference evaluator.
 """
 
 from __future__ import annotations
@@ -78,9 +82,10 @@ from .plan import KernelPlan
 COMPILER = "gcc"
 
 #: -ffp-contract=off keeps a*b+c as two roundings, as numpy computes it;
-#: -fopenmp-simd honours the i-loop's `omp simd` and nothing else of OpenMP.
+#: -fopenmp honours the i-loop's `omp simd` and the threaded wrappers'
+#: `omp parallel`, and links libgomp.
 FLAGS = (
-    "-O3", "-march=native", "-ffp-contract=off", "-fopenmp-simd", "-shared", "-fPIC"
+    "-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared", "-fPIC"
 )
 
 # With constant trip counts gcc unrolls small grids' loops completely,
@@ -205,12 +210,61 @@ def _function(signature, decls, body, n, reduction="") -> str:
     )
 
 
+def _range_signature(returns: str, name: str, params: str) -> str:
+    # noipa keeps one copy of the loop nest under its own name, compiled
+    # for any range as an exported function is: gcc neither inlines it
+    # into the wrapper nor clones it per caller.
+    return (
+        f"static __attribute__((noipa)) {returns} {name}_range({params},"
+        " long k0, long k1)"
+    )
+
+
+def _threaded(returns: str, name: str, params: str, args: str, count=None) -> str:
+    """The exported function `name`: its range body ``{name}_range`` over
+    planes [k0, k1), called directly when ``threads <= 1`` and otherwise
+    once by each thread of an OpenMP team of `threads`, on the thread's
+    share of the planes (``executor._spans``' split). The shares follow
+    the team's actual size, so every plane is covered when the team
+    comes out smaller than asked. `params` and `args` are the parameters
+    before k0 and k1; a function that counts returns the sum of its
+    bodies' `count`."""
+    call = f"{name}_range({args}, "
+    direct = (
+        [f"        {call}k0, k1);", "        return;"]
+        if returns == "void"
+        else [f"        return {call}k0, k1);"]
+    )
+    share = "k0 + (k1 - k0) * t / m, k0 + (k1 - k0) * (t + 1) / m"
+    lines = [
+        f"{returns} {name}({params}, long k0, long k1, long threads)",
+        "{",
+        "    if (threads <= 1) {",
+        *direct,
+        "    }",
+    ]
+    if count:
+        lines.append(f"    long {count} = 0;")
+    clause = f" reduction(+:{count})" if count else ""
+    lines += [
+        f"    #pragma omp parallel num_threads(threads){clause}",
+        "    {",
+        "        const long t = omp_get_thread_num();",
+        "        const long m = omp_get_num_threads();",
+        f"        {f'{count} += ' if count else ''}{call}{share});",
+        "    }",
+    ]
+    if returns != "void":
+        lines.append(f"    return {count or 0};")
+    return "\n".join([*lines, "}", ""])
+
+
 def _phase_function(phase, n, pointers, powers) -> str:
-    """One C function running the phase's statements at every point of
-    planes [k0, k1); locals and arrays written here live in registers. It
-    returns how many non-finite values it stored into residual arrays,
-    plus how many points have an array of ``phase.positive`` not positive
-    (``!(v > 0)``, so NaN counts)."""
+    """The phase's range body, running its statements at every point of
+    planes [k0, k1), and its threaded wrapper; locals and arrays written
+    here live in registers. It returns how many non-finite values it
+    stored into residual arrays, plus how many points have an array of
+    ``phase.positive`` not positive (``!(v > 0)``, so NaN counts)."""
     statements = phase.statements
     emit = _Emitter(n + 2 * HALO, pointers, {s.array for s in statements} - {None})
     # One count per function, named for what fd_primitive and fd_point count.
@@ -242,7 +296,7 @@ def _phase_function(phase, n, pointers, powers) -> str:
     return "\n".join(
         [
             _function(
-                f"long {phase.name}(double *const *A, long k0, long k1)",
+                _range_signature("long", phase.name, "double *const *A"),
                 [*decls, f"    long {count} = 0;"],
                 body,
                 n,
@@ -251,6 +305,9 @@ def _phase_function(phase, n, pointers, powers) -> str:
             f"    return {count};",
             "}",
             "",
+            _threaded(
+                "long", phase.name, "double *const *A", "A", count if counted else None
+            ),
         ]
     )
 
@@ -262,8 +319,9 @@ def _pointer_table(plan: KernelPlan) -> tuple[str, ...]:
 
 
 def _update_function(n, pointers) -> str:
-    """``fd_update``: one RK stage's update at every point of planes
-    [k0, k1), with the numpy reference's operations in its order:
+    """``fd_update`` and its range body: one RK stage's update at every
+    point of planes [k0, k1), with the numpy reference's operations in
+    its order:
     ``acc = (acc*a_k) + res`` (a copy when a_k is 0), then
     ``sol = sol + (bdt*acc)``."""
     decls = []
@@ -279,8 +337,16 @@ def _update_function(n, pointers) -> str:
             f"a_acc_{name}[c] = s_{name};",
             f"a_{name}[c] = (a_{name}[c] + (bdt * s_{name}));",
         ]
-    signature = "void fd_update(double *const *A, double a_k, double bdt, long k0, long k1)"
-    return "\n".join([_function(signature, decls, body, n), "}", ""])
+    params = "double *const *A, double a_k, double bdt"
+    signature = _range_signature("void", "fd_update", params)
+    return "\n".join(
+        [
+            _function(signature, decls, body, n),
+            "}",
+            "",
+            _threaded("void", "fd_update", params, "A, a_k, bdt"),
+        ]
+    )
 
 
 def generate_source(plan: KernelPlan) -> str:
@@ -296,6 +362,7 @@ def generate_source(plan: KernelPlan) -> str:
     header = (
         f"/* fdlab kernel: policy {plan.policy}, n={n}, h={plan.grid.h!r}.\n"
         f"   Pointer table: {' '.join(table)} */\n"
+        "#include <omp.h>\n"
     )
     return "\n".join(
         [header, *(_power_function(e) for e in sorted(powers)), *functions]
@@ -500,12 +567,12 @@ class KernelCache:
         functions = []
         for phase in plan.phases:
             function = getattr(library, phase.name)
-            function.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long)
+            function.argtypes = (ctypes.c_void_p, *(ctypes.c_long,) * 3)
             function.restype = ctypes.c_long
             functions.append(function)
         update = library.fd_update
         update.argtypes = (
-            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long
+            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, *(ctypes.c_long,) * 3
         )
         update.restype = None
         kernel.table = _pointer_table(plan)

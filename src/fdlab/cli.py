@@ -58,6 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="repeats per variant (default: 5)",
     )
     parser.add_argument(
+        "--workers", type=int, default=1, metavar="W",
+        help="threads each kernel call runs on (default: 1)",
+    )
+    parser.add_argument(
         "--power-source", default="none", metavar="SPEC",
         help=(
             "power meter: none | mock:const=W | mock:ramp=a,b | "
@@ -111,6 +115,7 @@ def parse_config(argv=None) -> tuple[RunConfig, argparse.Namespace]:
             repeats=options.repeats,
             out_dir=options.out,
             snapshot_every=options.snapshot,
+            workers=options.workers,
         )
     except (FdlabError, ValueError) as err:
         parser.error(str(err))

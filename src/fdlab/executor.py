@@ -15,11 +15,14 @@ here on purpose: the tree shape IS the variant's compute recipe, and
 collapsing repeated subtrees would erase exactly the recomputation the
 storage policies trade against memory traffic.
 
-Both backends partition the interior along axis 2 into one k-range per
-worker, and one thread pool per worker count serves every launch of the
-process; the numpy reference walks its range in slabs. Every elementwise
-operation is independent per point, so results are bit-identical for
-any slab width and any worker count.
+A phase or update call covers planes [k0, k1) along axis 2 and takes
+the number of threads to run on, so ``execute_plan`` makes one call per
+phase and ``update_solution`` one per stage, on either backend. The
+compiled functions thread themselves (OpenMP, see ``cbackend``). The
+numpy reference splits its range into the same shares and runs them on
+one thread pool per worker count, the pool's only user, walking each
+share in slabs. Every elementwise operation is independent per point,
+so results are bit-identical for any slab width and any thread count.
 """
 
 from __future__ import annotations
@@ -155,27 +158,39 @@ def _check_residuals(store: FieldStore, step, stage) -> None:
             )
 
 
-def _worker_spans(n: int, workers: int) -> tuple[tuple[int, int], ...]:
-    """Contiguous, near-equal k-ranges, one per worker."""
-    parts = max(1, min(workers, n))
-    bounds = [n * w // parts for w in range(parts + 1)]
-    return tuple(zip(bounds, bounds[1:]))
+def _spans(k0: int, k1: int, parts: int) -> list[tuple[int, int]]:
+    """[k0, k1) in `parts` contiguous, near-equal ranges: the split the
+    compiled functions give the threads of a team."""
+    bounds = [k0 + (k1 - k0) * t // parts for t in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     """The process's pool of `workers` threads, made on first use and
-    reused by every later evaluation and update."""
+    reused by every later numpy evaluation and update."""
     return ThreadPoolExecutor(workers)
+
+
+def _fan_out(function, k0: int, k1: int, threads: int) -> list:
+    """Call function(z0, z1) on each of `threads` shares of [k0, k1), on
+    the pool when there are several, and return the results in order."""
+    if threads <= 1:
+        return [function(k0, k1)]
+    pool = _pool(threads)
+    futures = [pool.submit(function, z0, z1) for z0, z1 in _spans(k0, k1, threads)]
+    wait(futures)  # a failing share never leaves others running on the store
+    return [future.result() for future in futures]
 
 
 def _numpy_phase(phase, arrays, n: int):
     """The numpy reference of one compiled phase function: run the
-    phase's statements over planes [k0, k1), slab by slab, and return how
+    phase's statements over planes [k0, k1), split across `threads`
+    workers and slab by slab within a worker's share, and return how
     many non-finite values they stored into residual arrays plus how many
     points have an array of ``phase.positive`` not positive."""
 
-    def run(k0: int, k1: int) -> int:
+    def share(k0: int, k1: int) -> int:
         bad = 0
         # Overflow, NaN and a zero density are legitimate runtime outcomes
         # here; they are counted and named by the caller, so numpy's own
@@ -202,15 +217,18 @@ def _numpy_phase(phase, arrays, n: int):
                     )
         return bad
 
+    def run(k0: int, k1: int, threads: int) -> int:
+        return sum(_fan_out(share, k0, k1, threads))
+
     return run
 
 
 def _numpy_update(arrays, n: int):
-    """The numpy reference of ``fd_update`` over planes [k0, k1):
-    ``acc = a_k*acc + res`` (a copy when `a_k` is 0), then
-    ``sol = sol + bdt*acc``."""
+    """The numpy reference of ``fd_update`` over planes [k0, k1), split
+    across `threads` workers: ``acc = a_k*acc + res`` (a copy when `a_k`
+    is 0), then ``sol = sol + bdt*acc``."""
 
-    def run(a_k: float, bdt: float, k0: int, k1: int) -> None:
+    def share(a_k: float, bdt: float, k0: int, k1: int) -> None:
         for name in COMPONENT_NAMES:
             sol, res, acc = (
                 _view(arrays[prefix + name], n, ZERO_OFFSET, k0, k1)
@@ -223,34 +241,27 @@ def _numpy_update(arrays, n: int):
                 np.add(acc, res, out=acc)
             np.add(sol, bdt * acc, out=sol)
 
+    def run(a_k: float, bdt: float, k0: int, k1: int, threads: int) -> None:
+        _fan_out(functools.partial(share, a_k, bdt), k0, k1, threads)
+
     return run
 
 
 @dataclass(frozen=True)
 class BoundPlan:
-    """A plan bound to a store for a run. A phase is a callable over
-    planes [k0, k1) that returns how many non-finite values it stored
-    into residual arrays and how many points have an array of its
-    ``positive`` not positive; ``update`` is a callable (a_k, bdt, k0,
-    k1). The compiled callables hold raw pointers into the store's
-    arrays, which the store keeps alive."""
+    """A plan bound to a store for a run. A phase is a callable (k0, k1,
+    threads) over planes [k0, k1) that returns how many non-finite values
+    it stored into residual arrays and how many points have an array of
+    its ``positive`` not positive; ``update`` is a callable (a_k, bdt, k0,
+    k1, threads). ``threads`` is the team size every call runs with. The
+    compiled callables hold raw pointers into the store's arrays, which
+    the store keeps alive."""
 
     plan: KernelPlan
     store: FieldStore
     phases: tuple
     update: Callable
-    spans: tuple[tuple[int, int], ...]
-    workers: int
-
-    def launch(self, function) -> list:
-        """Call function(z0, z1) once per span, on the pool when there are
-        several workers and spans, and return the results in span order."""
-        if self.workers == 1 or len(self.spans) == 1:
-            return [function(z0, z1) for z0, z1 in self.spans]
-        pool = _pool(self.workers)
-        futures = [pool.submit(function, z0, z1) for z0, z1 in self.spans]
-        wait(futures)  # a failing span never leaves others running on the store
-        return [future.result() for future in futures]
+    threads: int
 
 
 def bind(plan: KernelPlan, store: FieldStore, workers: int = 1) -> BoundPlan:
@@ -258,7 +269,9 @@ def bind(plan: KernelPlan, store: FieldStore, workers: int = 1) -> BoundPlan:
     store's arrays, allocating the plan's work arrays: the compiled
     kernel's functions through its one pointer table when the kernel
     built (see ``cbackend``), the numpy reference otherwise. A store on
-    another grid than the plan's is refused before anything is touched."""
+    another grid than the plan's is refused before anything is touched.
+    Every call runs on ``min(workers, n)`` threads, so no thread is left
+    without a plane."""
     if plan.grid != store.grid:
         raise GridError(
             f"plan spacing {plan.grid.h} does not match grid spacing {store.grid.h}"
@@ -274,7 +287,7 @@ def bind(plan: KernelPlan, store: FieldStore, workers: int = 1) -> BoundPlan:
         table = kernel.pointers(arrays)
         phases = tuple(functools.partial(f, table) for f in kernel.functions)
         update = functools.partial(kernel.update, table)
-    return BoundPlan(plan, store, phases, update, _worker_spans(n, workers), workers)
+    return BoundPlan(plan, store, phases, update, max(1, min(workers, n)))
 
 
 def execute_plan(
@@ -282,8 +295,7 @@ def execute_plan(
 ) -> dict[str, np.ndarray]:
     """Run the bound plan's phases in order and return the residual fields.
 
-    Each phase is split into k-ranges across the bound workers, on one
-    pool that every call reuses.
+    Each phase is one call over all planes on the bound threads.
 
     This is the only code that refreshes halos, and it trusts none it
     finds: it exchanges the solution on entry and, after each phase, the
@@ -300,8 +312,9 @@ def execute_plan(
     store = bound.store
     for name in COMPONENT_NAMES:
         store.exchange(name)
+    n = store.grid.n
     for phase, function in zip(bound.plan.phases, bound.phases):
-        if sum(bound.launch(function)):
+        if function(0, n, bound.threads):
             for name, quantity in phase.positive:
                 check_positive(store.interior(name), quantity, step, stage)
             if any(s.kind == "residual" for s in phase.statements):
@@ -312,7 +325,7 @@ def execute_plan(
 
 
 def update_solution(bound: BoundPlan, a_k: float, bdt: float) -> None:
-    """One RK stage's update of the interiors, on the k-ranges and the
-    pool of the phases: ``acc = a_k*acc + res`` (a copy when `a_k` is 0),
-    then ``sol = sol + bdt*acc``, with the store's ``acc_*`` arrays."""
-    bound.launch(functools.partial(bound.update, a_k, bdt))
+    """One RK stage's update of the interiors, one call on the threads of
+    the phases: ``acc = a_k*acc + res`` (a copy when `a_k` is 0), then
+    ``sol = sol + bdt*acc``, with the store's ``acc_*`` arrays."""
+    bound.update(a_k, bdt, 0, bound.store.grid.n, bound.threads)

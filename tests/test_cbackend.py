@@ -3,10 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,19 +97,25 @@ def test_point_loop_is_vectorised(eqset, tmp_path, variant):
     kernel = cbackend.KernelCache(tmp_path).lookup(plan)
     assert kernel.backend == "c", kernel.reason
     (library,) = tmp_path.glob("*.so")
-    for function in ("fd_point", "fd_update"):
-        listing = subprocess.run(
+
+    def listing(function):
+        return subprocess.run(
             ["objdump", "-d", f"--disassemble={function}", str(library)],
             capture_output=True, text=True, check=True,
         ).stdout
-        kinds = re.findall(r"\bv?(?:add|sub|mul|div)([ps])d\b", listing)
+
+    for function in ("fd_point", "fd_update"):
+        body = listing(f"{function}_range")
+        kinds = re.findall(r"\bv?(?:add|sub|mul|div)([ps])d\b", body)
         assert kinds.count("p") > 0 and kinds.count("s") == 0, (
             f"{function}: {kinds.count('p')} packed, {kinds.count('s')} scalar"
         )
+        assert "<GOMP_parallel@plt>" in listing(function), function
 
 
-@needs_compiler
-def test_one_pool_serves_every_launch(eqset, monkeypatch):
+def test_compiled_threads_need_no_pool(eqset, monkeypatch, backends):
+    # a compiled call threads itself, one call per phase and stage; only
+    # the numpy reference fans out, on one pool per worker count
     made = []
 
     class Counted(exe.ThreadPoolExecutor):
@@ -114,29 +123,86 @@ def test_one_pool_serves_every_launch(eqset, monkeypatch):
             made.append(workers)
             super().__init__(workers)
 
+    def counted(function, name, calls):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+
+        return call
+
     monkeypatch.setattr(exe, "ThreadPoolExecutor", Counted)
-    exe._pool.cache_clear()
-    try:
-        grid = Grid(8)
-        plan = build_plan(eqset, "bl", grid)  # 65 phases and fd_update
-        bound = exe.bind(plan, _random_store(grid, seed=3), workers=2)
-        for step in (1, 2):
-            rk3_step(bound, dt=1e-4, step=step)
-    finally:
+    grid = Grid(8)
+    plan = build_plan(eqset, "bl", grid)  # 65 phases and fd_update
+    for backend in backends():
         exe._pool.cache_clear()
-    assert made == [2]
+        made.clear()
+        calls = []
+        try:
+            bound = exe.bind(plan, _random_store(grid, seed=3), workers=2)
+            assert cbackend.KERNELS.lookup(plan).backend == backend
+            bound = dataclasses.replace(
+                bound,
+                phases=tuple(
+                    counted(f, p.name, calls) for f, p in zip(bound.phases, plan.phases)
+                ),
+                update=counted(bound.update, "fd_update", calls),
+            )
+            for step in (1, 2):
+                rk3_step(bound, dt=1e-4, step=step)
+        finally:
+            exe._pool.cache_clear()
+        assert calls == [*(p.name for p in plan.phases), "fd_update"] * 6, backend
+        assert made == ([] if backend == "c" else [2]), backend
+
+
+@needs_compiler
+def test_a_smaller_team_still_covers_every_plane():
+    # libgomp may make a team smaller than asked (here capped at one
+    # thread); the shares follow the team's size, so no plane is skipped
+    script = (
+        "import hashlib; from fdlab import RunConfig, run\n"
+        "store = run(RunConfig(n=8, steps=1, policy='sn', workers=2)).store\n"
+        "names = ('rho', 'rhou0', 'rhou1', 'rhou2', 'rhoE')\n"
+        "blob = b''.join(store.interior(c).tobytes() for c in names)\n"
+        "print(hashlib.sha256(blob).hexdigest())\n"
+    )
+    src = str(Path(cbackend.__file__).resolve().parents[1])
+    env = {**os.environ, "OMP_THREAD_LIMIT": "1", "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    store = run(RunConfig(n=8, steps=1, policy="sn", workers=1)).store
+    blob = b"".join(store.interior(c).tobytes() for c in ex.COMPONENT_NAMES)
+    assert done.stdout.strip() == hashlib.sha256(blob).hexdigest()
+
+
+@needs_compiler
+@pytest.mark.parametrize("variant", [*VARIANTS, "exchange"])
+def test_sources_compile_without_warnings(eqset, variant):
+    # a malformed clause would otherwise only send the run to numpy
+    if variant == "exchange":
+        source = cbackend.EXCHANGE_SOURCE
+    else:
+        source = cbackend.generate_source(build_plan(eqset, variant, Grid(8)))
+    done = subprocess.run(
+        [cbackend.COMPILER, *cbackend.FLAGS, "-fsyntax-only", "-Wall", "-Wextra",
+         "-Werror", "-x", "c", "-"],
+        input=source, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 #: sha256 of generate_source(build_plan(eqset, variant, Grid(16))). A
 #: change here changes every kernel-cache key, so the next run of each
 #: variant compiles again.
 SOURCE_SHA256 = {
-    "bl": "15d00269cf4edf6b1be375821ab716e4ff4104b6924a4fd73fd618698f5434db",
-    "rs": "b162a402b4d47e58edbba5d936d3682e2fc73fbc262576f6ad9563e0d3bdf955",
-    "ss": "5b1d1baebefa46c8e605e234ecb77e25933e853e7f1f0a40f62cf86fece3ef5b",
-    "ra": "fed7cd11bce39ac3dca442cdc1cbcd4cf31700f61d65641c70dbc0553b6d9dbc",
-    "sn": "aaa18e267080944c6320ff89f0028398c4b337ac99ec7856da27a5482ad774cf",
-    "sn2": "2503f3005db00b6875792bb437726cc0613b0781bf03fdc31bb9f167a159c469",
+    "bl": "5d9f72d4c7b274aeeca97c7b9af6f5557d00c138057faecc58f505cf7effb5f7",
+    "rs": "c1094889cdd01ca0012382429c1dd78651d7d9628668e0cc72091ba3e75b1a25",
+    "ss": "aa5dd0f8e7486e8f6cf884029f9fca3b74692905aaedc7c4eab24f0c2867f271",
+    "ra": "200ae9333d411d5928d9504047029023358f1e758c75bbd02e2a2deaf6e0ab93",
+    "sn": "0869f86a1a9640ed9a5ca026d0ad0ddc2f1cf2d3031ffca943cfba9c4f5d4500",
+    "sn2": "48b96ac9435401f2fcb1db9bcfd4e23c14ef4558a21fcd56ffb0517a4117c417",
 }
 
 
@@ -186,7 +252,7 @@ def test_provenance_names_compiler_and_library(monkeypatch, tmp_path):
     assert doc["ran"] == "c" and doc["fallback_reason"] is None
     assert doc["compiler"] == cbackend.compiler_version(cbackend.COMPILER)
     assert "-ffp-contract=off" in doc["flags"]
-    assert "-fopenmp-simd" in doc["flags"]
+    assert "-fopenmp" in doc["flags"]
     assert doc["exchange"]["backend"] == "c" and "reason" not in doc["exchange"]
     libraries = {cbackend._sha256_file(path) for path in tmp_path.glob("*.so")}
     assert libraries == {doc["kernels"]["sn"]["sha256"], doc["exchange"]["sha256"]}
@@ -229,13 +295,18 @@ def test_source_uses_exact_literals_and_left_folds(eqset):
     assert "(0x1.9999999999998p-2)" in source  # gamma - 1, from 0.3999999999999999
     assert "fd_pow2(v_u0)" in source
     assert "((fd_pow2(v_u0) + fd_pow2(v_u1)) + fd_pow2(v_u2))" in source
-    # 65 phases and fd_update, one i-loop each; only fd_point stores residuals
+    # 65 phases and fd_update, one i-loop each in its range body and one
+    # team in its exported wrapper; only fd_point stores residuals
     assert len(re.findall(r"^(?:long|void) fd_\w+\(double \*const \*A", source, re.M)) == 66
     assert source.count("#pragma omp simd") == 66
+    assert source.count("#pragma omp parallel num_threads(threads)") == 66
+    assert len(re.findall(r"^static __attribute__\(\(noipa\)\) ", source, re.M)) == 66
     assert source.count("#pragma omp simd reduction(+:nonfinite)") == 1
+    assert source.count("num_threads(threads) reduction(+:nonfinite)") == 1
     assert source.count("nonfinite += !__builtin_isfinite(v_res_") == 5
     # fd_primitive counts the points where density or pressure is not positive
     assert source.count("#pragma omp simd reduction(+:nonpositive)") == 1
+    assert source.count("num_threads(threads) reduction(+:nonpositive)") == 1
     assert "nonpositive += !(a_rho[c] > 0.0) | !(v_p > 0.0);" in source
 
 

@@ -25,6 +25,7 @@ class TestParseConfig:
         assert config.repeats == 5
         assert config.cfl == 0.4
         assert config.dt is None
+        assert config.workers == 1
         assert options.variant == "all"
         assert options.power_source == "none"
         assert not options.validate
@@ -39,6 +40,10 @@ class TestParseConfig:
     def test_dt_flag(self):
         config, _ = parse_config(["--dt", "0.001"])
         assert config.dt == 0.001
+
+    def test_workers_flag(self):
+        config, _ = parse_config(["--workers", "2"])
+        assert config.workers == 2
 
     def test_snapshot_and_out(self):
         config, options = parse_config(["--snapshot", "10", "--out", "results"])
@@ -65,6 +70,7 @@ class TestParseConfig:
             ["--dt", "inf"],
             ["--cfl", "nan"],
             ["--cfl", "inf"],
+            ["--workers", "0"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -210,6 +216,22 @@ class TestBenchmarks:
         summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
         assert summary[0] == "sn"
         assert summary[2] == ""
+
+    def test_workers_reach_provenance(self, tmp_path):
+        out = tmp_path / "results"
+        code = main(
+            [
+                "--variant", "sn",
+                "--grid", "8",
+                "--steps", "1",
+                "--repeats", "1",
+                "--workers", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        doc = json.loads((out / "provenance.json").read_text())
+        assert doc["config"]["workers"] == 2
 
     def test_snapshots_written(self, tmp_path):
         out = tmp_path / "results"

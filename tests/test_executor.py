@@ -155,8 +155,10 @@ class TestDeterminism:
         for backend in backends():
             kernel = cbackend.KERNELS.lookup(plans8["bl"])
             assert kernel.backend == backend, kernel.reason
-            for workers in (1, 3):
-                got = exe.execute_plan(exe.bind(plans8["bl"], store, workers=workers))
+            for workers in (1, 3, 10):  # 10 workers make a team of 8
+                bound = exe.bind(plans8["bl"], store, workers=workers)
+                assert bound.threads == min(workers, grid8.n)
+                got = exe.execute_plan(bound)
                 for c in ex.COMPONENT_NAMES:
                     assert got[c].tobytes() == base[c].tobytes(), (backend, workers, c)
 

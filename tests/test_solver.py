@@ -435,7 +435,7 @@ class TestRun:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_final_state_bits_are_pinned(self, backends, variant):
         for backend in backends():
-            for workers in (1, 2):
+            for workers in (1, 2, 3):  # 3 splits 16 planes unevenly
                 config = RunConfig(n=16, steps=3, policy=variant, workers=workers)
                 digest = hashlib.sha256(b"".join(_solution_bytes(run(config).store)))
                 want = self.FINAL_STATE_SHA256[variant]
