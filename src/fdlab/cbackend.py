@@ -505,9 +505,10 @@ class Exchange:
 class KernelCache:
     """Loaded kernels by plan, backed by a directory of libraries.
 
-    A plan carries its grid, so it is the whole key. A lookup hashes the
-    plan and compares it node by node with an equal key, a millisecond or
-    so, which ``executor.bind`` pays once per run.
+    A plan carries its grid, so it is the whole key. The plan hashes its
+    tree once, and ``build_plan`` hands every run the same plan object,
+    so a lookup finds its key by identity; a fresh but equal plan is
+    hashed once and then compared node by node, about a millisecond.
     """
 
     def __init__(self, directory: Path | None = None, compiler: str = COMPILER):

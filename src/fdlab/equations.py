@@ -15,6 +15,7 @@ kernel actually evaluates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -102,6 +103,15 @@ class EquationSet:
     primitives: tuple[Statement, ...]
     residuals: tuple[ex.Expr, ...]
     derivatives: tuple[DerivativeEntry, ...] = field(repr=False)
+
+    # The trees are immutable, so they are hashed once, by the first
+    # lookup that keys on the set (the build_plan memo).
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.primitives, self.residuals, self.derivatives))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 _RHO = ex.solution(0)
@@ -272,7 +282,10 @@ def census(residuals: tuple[ex.Expr, ...]) -> tuple[DerivativeEntry, ...]:
     )
 
 
+@functools.cache
 def build_equations(params: FlowParams) -> EquationSet:
+    """The equation set of `params`, built once per process and shared:
+    every part of it is immutable."""
     residuals = (
         _mass(params),
         _momentum(params, 0),

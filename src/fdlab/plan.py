@@ -26,6 +26,7 @@ strict and reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -86,6 +87,14 @@ class KernelPlan:
     #: The launch schedule: primitive, one phase per work array, point.
     phases: tuple[Phase, ...]
     counters: PlanCounters
+
+    # Hashed once: the kernel cache keys on the plan.
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.policy, self.grid, self.phases, self.counters))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arrays(self) -> tuple[str, ...]:
@@ -178,8 +187,13 @@ def _schedule(groups) -> tuple[tuple[Phase, ...], PlanCounters]:
     return phases, counters
 
 
+@functools.cache
 def build_plan(eqset: EquationSet, policy: str, grid: Grid) -> KernelPlan:
-    """Lower the equation set under one ``VARIANTS`` row for the grid."""
+    """Lower the equation set under one ``VARIANTS`` row for the grid.
+
+    Lowered once per process for each (eqset, policy, grid) and shared,
+    since the plan is immutable; a call that raises caches nothing.
+    """
     if policy not in VARIANTS:
         raise PlanError(f"unknown storage policy {policy!r}")
     gradient, other, grouped = VARIANTS[policy]

@@ -86,38 +86,59 @@ def init_tgv(grid: Grid, params: FlowParams) -> FieldStore:
     Velocities are the standard single-mode vortex, pressure carries the
     matching O(1) acoustic-scaled offset, temperature is uniform 1, and
     density follows from the equation of state so rho is 1 + O(M^2).
+
+    Every factor is separable: it is evaluated once on the n coordinates
+    and broadcast, in the left-to-right order of the formulas, so each
+    point gets the operations a full 3-D evaluation would give it.
     """
     x = grid.coordinates()
-    x0, x1, x2 = np.meshgrid(x, x, x, indexing="ij")
-    u0 = np.sin(x0) * np.cos(x1) * np.cos(x2)
-    u1 = -np.cos(x0) * np.sin(x1) * np.cos(x2)
-    p = params.inv_gamma_mach_sq + (1.0 / 16.0) * (
-        np.cos(2.0 * x0) + np.cos(2.0 * x1)
-    ) * (2.0 + np.cos(2.0 * x2))
-    rho = params.gamma_mach_sq * p  # T = 1 uniformly
+    sin, cos, cos2 = np.sin(x), np.cos(x), np.cos(2.0 * x)
+    # lay a 1-D factor along axis 0, 1 or 2
+    i, j, k = np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :]
+    u0, u1, p = (np.empty(grid.shape, order="F") for _ in range(3))
+    np.multiply(sin[i] * cos[j], cos[k], out=u0)
+    np.multiply(-cos[i] * sin[j], cos[k], out=u1)
+    np.multiply((1.0 / 16.0) * (cos2[i] + cos2[j]), 2.0 + cos2[k], out=p)
+    p += params.inv_gamma_mach_sq
     store = FieldStore(grid)
-    store.set_interior("rho", rho)
-    store.set_interior("rhou0", rho * u0)
-    store.set_interior("rhou1", rho * u1)
+    rho = store.interior("rho")
+    np.multiply(params.gamma_mach_sq, p, out=rho)  # T = 1 uniformly
+    np.multiply(rho, u0, out=store.interior("rhou0"))
+    np.multiply(rho, u1, out=store.interior("rhou1"))
     store.set_interior("rhou2", 0.0)
-    store.set_interior(
-        "rhoE", p / (params.gamma - 1.0) + 0.5 * rho * (u0**2 + u1**2)
-    )
+    # rhoE = p / (gamma - 1) + (0.5 rho) (u0^2 + u1^2), in the temporaries
+    np.square(u0, out=u0)
+    u0 += np.square(u1, out=u1)
+    np.multiply(0.5, rho, out=u1)
+    u1 *= u0
+    p /= params.gamma - 1.0
+    np.add(p, u1, out=store.interior("rhoE"))
     return store
 
 
 def compute_timestep(store: FieldStore, params: FlowParams, cfl: float) -> float:
     """Acoustic CFL limit from the current state: the fastest signal is
-    |u| plus the sound speed sqrt(T)/M."""
+    |u| plus the sound speed sqrt(T)/M.
+
+    Two buffers hold every intermediate; each product with a constant is
+    written with the constant second, an exact commutation.
+    """
     rho = store.interior("rho")
-    velocity_sq = np.zeros(store.grid.shape)
+    velocity_sq = np.zeros(store.grid.shape, order="F")
+    scratch = np.empty(store.grid.shape, order="F")
     for i in range(3):
-        velocity_sq += (store.interior(f"rhou{i}") / rho) ** 2
-    kinetic = 0.5 * rho * velocity_sq
-    pressure = (params.gamma - 1.0) * (store.interior("rhoE") - kinetic)
-    sound = np.sqrt(params.gamma * pressure / rho)
-    signal = float(np.max(np.sqrt(velocity_sq) + sound))
-    return cfl * store.grid.h / signal
+        np.divide(store.interior(f"rhou{i}"), rho, out=scratch)
+        velocity_sq += np.square(scratch, out=scratch)
+    # kinetic energy, then pressure, then the squared sound speed
+    np.multiply(rho, 0.5, out=scratch)
+    scratch *= velocity_sq
+    np.subtract(store.interior("rhoE"), scratch, out=scratch)
+    scratch *= params.gamma - 1.0
+    scratch *= params.gamma
+    scratch /= rho
+    signal = np.sqrt(velocity_sq, out=velocity_sq)
+    signal += np.sqrt(scratch, out=scratch)
+    return cfl * store.grid.h / float(np.max(signal))
 
 
 def _check_thermo(store: FieldStore, step) -> None:

@@ -59,3 +59,39 @@ def evaluate_expression(
     if not isinstance(value, np.ndarray):
         return np.full(store.grid.shape, float(value))
     return value
+
+
+def init_tgv_meshgrid(grid, params) -> FieldStore:
+    """The Taylor-Green vortex evaluated on full 3-D meshgrids, one
+    temporary per operation: what ``solver.init_tgv`` must match byte
+    for byte."""
+    x = grid.coordinates()
+    x0, x1, x2 = np.meshgrid(x, x, x, indexing="ij")
+    u0 = np.sin(x0) * np.cos(x1) * np.cos(x2)
+    u1 = -np.cos(x0) * np.sin(x1) * np.cos(x2)
+    p = params.inv_gamma_mach_sq + (1.0 / 16.0) * (
+        np.cos(2.0 * x0) + np.cos(2.0 * x1)
+    ) * (2.0 + np.cos(2.0 * x2))
+    rho = params.gamma_mach_sq * p
+    store = FieldStore(grid)
+    store.set_interior("rho", rho)
+    store.set_interior("rhou0", rho * u0)
+    store.set_interior("rhou1", rho * u1)
+    store.set_interior("rhou2", 0.0)
+    store.set_interior(
+        "rhoE", p / (params.gamma - 1.0) + 0.5 * rho * (u0**2 + u1**2)
+    )
+    return store
+
+
+def timestep_with_temporaries(store: FieldStore, params, cfl: float) -> float:
+    """The acoustic CFL limit with a fresh temporary per operation: what
+    ``solver.compute_timestep`` must match to the last bit."""
+    rho = store.interior("rho")
+    velocity_sq = np.zeros(store.grid.shape)
+    for i in range(3):
+        velocity_sq += (store.interior(f"rhou{i}") / rho) ** 2
+    kinetic = 0.5 * rho * velocity_sq
+    pressure = (params.gamma - 1.0) * (store.interior("rhoE") - kinetic)
+    sound = np.sqrt(params.gamma * pressure / rho)
+    return cfl * store.grid.h / float(np.max(np.sqrt(velocity_sq) + sound))

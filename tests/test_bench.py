@@ -202,7 +202,8 @@ class TestValidateMode:
         for per_component in report.deviations.values():
             assert set(per_component.values()) == {0.0}
 
-    def test_perturbed_plan_fails(self, monkeypatch):
+    @staticmethod
+    def _assert_crooked_sn_fails(monkeypatch):
         perturbed_eqs = build_equations(FlowParams(reynolds=800.0))
 
         def crooked_build_plan(eqs, variant, grid):
@@ -215,6 +216,14 @@ class TestValidateMode:
         assert not report.passed
         assert any("sn" in m for m in report.messages)
         assert max(report.deviations["sn"].values()) > report.tolerance
+
+    def test_perturbed_plan_fails(self, monkeypatch):
+        self._assert_crooked_sn_fails(monkeypatch)
+
+    def test_perturbed_plan_fails_after_the_memo_is_warm(self, monkeypatch):
+        # run() calls solver.build_plan on every run, memo or not
+        assert validate_mode(RunConfig(n=16, steps=2)).passed
+        self._assert_crooked_sn_fails(monkeypatch)
 
     def test_failed_run_reports_context(self, monkeypatch):
         def explosive_build_plan(eqs, variant, grid):

@@ -264,9 +264,21 @@ def test_second_lookup_does_not_compile(eqset, monkeypatch, tmp_path):
     calls = _count_compiles(monkeypatch)
     grid = Grid(8)
     first = cache.lookup(build_plan(eqset, "sn", grid))
-    again = cache.lookup(build_plan(eqset, "sn", grid))  # equal, not identical
+    # equal, not identical: the memo would hand back the same plan
+    again = cache.lookup(build_plan.__wrapped__(eqset, "sn", grid))
     assert first.backend == "c" and again is first
     assert len(calls) == 1
+
+
+def test_an_equal_plan_is_hashed_once_and_finds_the_same_kernel(tmp_path):
+    grid = Grid(8)
+    plan = build_plan(build_equations(FlowParams()), "ra", grid)
+    fresh = build_plan.__wrapped__(build_equations.__wrapped__(FlowParams()), "ra", grid)
+    assert fresh is not plan and fresh == plan
+    assert hash(fresh) == hash(plan)
+    assert vars(fresh)["_hash"] == hash(fresh)  # kept on the plan
+    cache = cbackend.KernelCache(tmp_path, MISSING)
+    assert cache.lookup(fresh) is cache.lookup(plan)
 
 
 @needs_compiler

@@ -258,6 +258,12 @@ class TestValidation:
         with pytest.raises(PlanError, match="unknown storage policy"):
             pl.build_plan(eqset, policy, H)
 
+    def test_unknown_policy_raises_on_every_call(self, eqset):
+        # the memo keeps results, never exceptions
+        for _ in range(2):
+            with pytest.raises(PlanError, match="unknown storage policy"):
+                pl.build_plan(eqset, "fast", H)
+
     def test_census_precondition(self, eqset):
         import dataclasses
 

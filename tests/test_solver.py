@@ -26,6 +26,8 @@ from fdlab.solver import (
     run,
 )
 
+from reference import init_tgv_meshgrid, timestep_with_temporaries
+
 PARAMS = FlowParams()
 
 
@@ -38,6 +40,14 @@ def _uniform_store(grid, values=(1.0, 0.3, -0.2, 0.1, 2.5)):
 
 def _solution_bytes(store):
     return tuple(store.interior(name).tobytes() for name in COMPONENT_NAMES)
+
+
+def _store_sha256(store):
+    """sha256 of every padded array of the store, halos included."""
+    digest = hashlib.sha256()
+    for name in store.names():
+        digest.update(store.full(name).tobytes(order="A"))
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +149,31 @@ class TestInitTGV:
 
     def test_density_positive(self, store32):
         assert store32.interior("rho").min() > 0.0
+
+
+OTHER_PARAMS = FlowParams(reynolds=800.0, mach=0.3, gamma=1.67)
+
+
+class TestSetupMatchesReference:
+    @pytest.mark.parametrize("params", [PARAMS, OTHER_PARAMS])
+    @pytest.mark.parametrize("n", [8, 13, 32, 64])
+    def test_init_is_byte_identical(self, n, params):
+        got, want = init_tgv(Grid(n), params), init_tgv_meshgrid(Grid(n), params)
+        for name in want.names():
+            assert got.full(name).tobytes() == want.full(name).tobytes(), name
+
+    @pytest.mark.parametrize("params", [PARAMS, OTHER_PARAMS])
+    @pytest.mark.parametrize("n", [8, 13, 32])
+    def test_timestep_is_bit_identical_on_perturbed_states(self, n, params):
+        store = init_tgv(Grid(n), params)
+        rng = np.random.default_rng(n)
+        for _ in range(8):
+            for name in COMPONENT_NAMES:
+                field = store.interior(name)
+                field *= 1.0 + 1e-3 * rng.standard_normal(field.shape)
+            for cfl in (0.4, 0.77):
+                got = compute_timestep(store, params, cfl)
+                assert got.hex() == timestep_with_temporaries(store, params, cfl).hex()
 
 
 class TestComputeTimestep:
@@ -440,6 +475,47 @@ class TestRun:
                 digest = hashlib.sha256(b"".join(_solution_bytes(run(config).store)))
                 want = self.FINAL_STATE_SHA256[variant]
                 assert digest.hexdigest() == want, (backend, workers)
+
+    #: sha256 of every array of init_tgv's store, pinned when the
+    #: vortex was still evaluated on full 3-D meshgrids.
+    INIT_STORE_SHA256 = {
+        8: "d6ece33be4af96f79df754a8568e8e95938f17db796dcb9ca5724b5f29b4e0f3",
+        13: "007966c2cab7e2b6ea0b7d4312d88d40fb7c13ba9a055b4677456de86716ea17",
+        32: "57f430df3144d7abd66fb8aa9dbfd77c7c67152587499499dcb94aebbbc0ef4e",
+    }
+    #: compute_timestep(..., cfl=0.4).hex() on the initial state, pinned
+    #: when every intermediate was a fresh temporary.
+    INITIAL_DT_HEX = {
+        13: "0x1.20253a364efb1p-6",
+        32: "0x1.d3ed0ac872fd1p-8",
+    }
+    #: The same on the state that run(n=16, steps=2, policy="ra") leaves.
+    STEPPED_DT_HEX = "0x1.d3eeaa896140bp-7"
+
+    @pytest.mark.parametrize("n", sorted(INIT_STORE_SHA256))
+    def test_initial_store_bits_are_pinned(self, n):
+        store = init_tgv(Grid(n), PARAMS)
+        assert _store_sha256(store) == self.INIT_STORE_SHA256[n]
+        if n in self.INITIAL_DT_HEX:
+            dt = compute_timestep(store, PARAMS, 0.4)
+            assert dt.hex() == self.INITIAL_DT_HEX[n]
+
+    def test_stepped_timestep_bits_are_pinned(self, backends):
+        for backend in backends():
+            store = run(RunConfig(n=16, steps=2, policy="ra")).store
+            dt = compute_timestep(store, PARAMS, 0.4)
+            assert dt.hex() == self.STEPPED_DT_HEX, backend
+
+    def test_equal_configs_share_one_plan(self):
+        first = run(RunConfig(n=16, steps=0, policy="sn"))
+        second = run(RunConfig(n=16, steps=0, policy="sn"))
+        assert first.plan is second.plan
+        for other in (
+            RunConfig(n=16, steps=0, policy="sn", params=FlowParams(reynolds=800.0)),
+            RunConfig(n=8, steps=0, policy="sn"),
+        ):
+            plan = run(other).plan
+            assert plan is not first.plan and plan != first.plan
 
     def test_non_finite_residual_names_the_same_point_on_both_backends(
         self, monkeypatch, backends
